@@ -9,25 +9,36 @@ Control path (§III-B2): before the traversal, the source requests every
 link of the path from that link's arbiter *in the same cycle*; the
 grants are ANDed.  Any missing grant means the whole setup retries next
 cycle (no partial paths).  This discrete-event model resolves
-contention with per-link ``free_at`` reservations: a setup succeeds in
-the first cycle all links are simultaneously free, and each failed
-attempt is charged one retry cycle and one round of control energy.
+contention with per-cycle link reservations: a setup succeeds in the
+first cycle all links are simultaneously free, and each failed attempt
+is charged one retry cycle and one round of control energy.
 
 Both link-acquisition modes of §V are supported: one-way (request and
 response each arbitrate for a single traversal) and round-trip (links
 held for the whole remote access and released explicitly).
 
-Reservations are per-cycle occupancy maps rather than busy-until
-watermarks: the driving engine resolves cores' misses slightly out of
-global time order (bounded by its run-ahead quantum), and a watermark
-would make a reservation placed at cycle 5000 block an unrelated
-message at cycle 4000.  With occupancy maps, only true same-cycle
-conflicts on a link cause retries.
+Reservations live in a :class:`~repro.noc.occupancy.LinkOccupancy`
+store: ``cycle -> bitmask`` of busy link ids.  The link ids follow
+:class:`~repro.noc.occupancy.LinkLayout` — east, west, south and north
+blocks, row-major for east/west and column-major for south/north — so
+an XY route's X leg (one row, one direction) and Y leg (one column, one
+direction) are each a contiguous run of ids.  The path mask is two
+shifted runs of ones, computed in O(1) from the tile coordinates;
+testing "is the path free in cycle ``c``" is one AND against that
+cycle's mask, and reserving it is one OR.  The arbiter grants all links
+at once, and so does the model.
+
+Occupancy stays per cycle rather than a busy-until watermark per link:
+the driving engine resolves cores' misses slightly out of global time
+order (bounded by its run-ahead quantum), and a watermark would make a
+reservation placed at cycle 5000 block an unrelated message at cycle
+4000.  With per-cycle masks, only true same-cycle conflicts on a link
+cause retries, and cycles nobody reserved cost no memory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
 from repro.core.link_arbiter import control_fanout
@@ -36,6 +47,7 @@ from repro.faults.inject import (
     FALLBACK_INJECTION_CYCLES,
 )
 from repro.faults.routing import UnreachableError
+from repro.noc.occupancy import LinkLayout, LinkOccupancy, link_ids
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -51,11 +63,24 @@ class NocstarTraversal(NamedTuple):
     hops: int
     setup_retries: int
     traversal_cycles: int
-    links: Tuple[Link, ...]
+    #: ``(topology, src, dst)`` of the XY circuit that carried the
+    #: message, or None when no circuit was set up (local delivery,
+    #: buffered-mesh fallback).
+    circuit: Optional[Tuple[MeshTopology, int, int]] = None
 
     @property
     def contended(self) -> bool:
         return self.setup_retries > 0
+
+    @property
+    def links(self) -> Tuple[Link, ...]:
+        """The circuit's links, built on demand: arbitration itself
+        works on link bitmasks, and only round-trip release and
+        introspection need the tuples."""
+        if self.circuit is None:
+            return ()
+        topology, src, dst = self.circuit
+        return tuple(topology.xy_path(src, dst))
 
 
 class NocstarInterconnect:
@@ -77,6 +102,8 @@ class NocstarInterconnect:
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
         self.routes = routes  # Optional[RouteCache]
+        self._layout = LinkLayout(topology)
+        self._xy_mask = self._layout.xy_mask
         if faults is not None and (
             faults.router.dead or faults.plan.arbiter_drop_prob > 0.0
         ):
@@ -84,16 +111,18 @@ class NocstarInterconnect:
             # branch-free and byte-identical to the pre-fault model.
             self.send = self._send_faulty
         elif routes is not None:
-            # Same dispatch pattern for the route cache: paths and
+            # Same dispatch pattern for the route cache: hop counts and
             # uncontended traversal durations come from the precomputed
             # fault-free tables; arbitration stays live.
-            self._cached_path = routes.path
+            self._cached_hops = routes.hops
             self._cached_cycles = routes.nocstar_cycles(config.hpc_max)
             self.send = self._send_routed
-        #: link -> set of cycles during which the link carries data.
-        self._occupied: Dict[Link, Set[int]] = {}
-        #: link -> cycle from which the link is held (round-trip mode).
-        self._held: Dict[Link, int] = {}
+        #: cycle -> bitmask of link ids carrying data in that cycle.
+        self._occupancy = LinkOccupancy()
+        #: link id -> cycle from which the link is held (round-trip
+        #: mode), and the OR of the held links' bits.
+        self._held: Dict[int, int] = {}
+        self._held_mask = 0
         self.messages = 0
         self.local_messages = 0
         self.total_hops = 0
@@ -123,25 +152,64 @@ class NocstarInterconnect:
         slice lookup, §III-C).  ``hold`` keeps the links reserved until
         :meth:`release` — round-trip acquisition.
         """
+        hops = self.topology.hops(src, dst)
+        return self._arbitrate(
+            src, dst, now, hops, self.traversal_cycles(hops),
+            speculative_setup, hold,
+        )
+
+    def _send_routed(
+        self,
+        src: int,
+        dst: int,
+        now: int,
+        speculative_setup: bool = False,
+        hold: bool = False,
+    ) -> NocstarTraversal:
+        """:meth:`send` off the precomputed fault-free route tables.
+
+        Only the pure (src, dst) functions — the hop count and the
+        uncontended traversal duration — come from the cache; the
+        per-cycle link reservations, retries, and round-trip holds run
+        through the same live arbitration as :meth:`send`.
+        """
+        return self._arbitrate(
+            src, dst, now, self._cached_hops[src][dst],
+            self._cached_cycles[src][dst], speculative_setup, hold,
+        )
+
+    def _arbitrate(
+        self,
+        src: int,
+        dst: int,
+        now: int,
+        hops: int,
+        duration: int,
+        speculative_setup: bool,
+        hold: bool,
+    ) -> NocstarTraversal:
+        """Set up the XY circuit at the first cycle all its links are
+        free for ``duration`` cycles, and reserve it.
+
+        Each failed cycle is one setup retry; the search jumps past
+        busy cycles (:meth:`LinkOccupancy.first_free`), which lands on
+        the same first feasible start as retrying cycle by cycle.
+        """
         self.messages += 1
         if src == dst:
             self.local_messages += 1
-            return NocstarTraversal(
-                ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
-            )
-        path = tuple(self.topology.xy_path(src, dst))
-        hops = len(path)
-        duration = self.traversal_cycles(hops)
+            return NocstarTraversal(now, 0, 0, 0)
+        mask = self._xy_mask(src, dst)
         earliest = now if speculative_setup else now + 1
-        start = earliest
-        while not self._path_free(path, start, duration):
-            start += 1
+        start = self._occupancy.first_free(mask, earliest, duration)
+        if self._held_mask & mask:
+            # Held links stay busy past their (unknown) release, so the
+            # start just found is feasible only if it clears the holds.
+            self._check_holds(mask, start + duration)
+        self._occupancy.reserve(mask, start, duration)
+        if hold:
+            self._hold(mask, start + duration)
         retries = start - earliest
-        for link in path:
-            occupied = self._occupied.setdefault(link, set())
-            occupied.update(range(start, start + duration))
-            if hold:
-                self._held[link] = start + duration
         # Every setup attempt broadcasts a request to all path arbiters.
         self.control_requests += hops * (retries + 1)
         self.total_hops += hops
@@ -158,85 +226,7 @@ class NocstarInterconnect:
             hops=hops,
             setup_retries=retries,
             traversal_cycles=duration,
-            links=path,
-        )
-
-    def _send_routed(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        speculative_setup: bool = False,
-        hold: bool = False,
-    ) -> NocstarTraversal:
-        """:meth:`send` off the precomputed fault-free route tables.
-
-        Only the pure (src, dst) functions — the XY path and the
-        uncontended traversal duration — come from the cache; the
-        per-cycle link reservations, retries, and round-trip holds run
-        through the exact live arbitration model, so contended sends
-        resolve identically to the uncached path.
-        """
-        self.messages += 1
-        if src == dst:
-            self.local_messages += 1
-            return NocstarTraversal(
-                ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
-            )
-        path = self._cached_path(src, dst)
-        hops = len(path)
-        duration = self._cached_cycles[src][dst]
-        earliest = now if speculative_setup else now + 1
-        start = earliest
-        occupancy = self._occupied
-        if self._held:
-            while not self._path_free(path, start, duration):
-                start += 1
-        else:
-            # Inlined _path_free for the dominant one-way case: no held
-            # links to police, so the free test is pure occupancy.  On a
-            # conflict, skip directly past the latest busy cycle in the
-            # candidate span: a setup is feasible only once every busy
-            # cycle of every link clears the span, so any viable start
-            # exceeds that cycle — the jump lands on the same first
-            # feasible start the cycle-by-cycle retry would find.
-            while True:
-                span = range(start, start + duration)
-                for link in path:
-                    occupied = occupancy.get(link)
-                    if occupied:
-                        busy = occupied.intersection(span)
-                        if busy:
-                            start = max(busy) + 1
-                            break
-                else:
-                    break
-        retries = start - earliest
-        span = range(start, start + duration)
-        if hold:
-            held = self._held
-            for link in path:
-                occupancy.setdefault(link, set()).update(span)
-                held[link] = start + duration
-        else:
-            for link in path:
-                occupancy.setdefault(link, set()).update(span)
-        self.control_requests += hops * (retries + 1)
-        self.total_hops += hops
-        self.total_setup_retries += retries
-        if retries == 0:
-            self.uncontended_messages += 1
-        if self._event is not None:
-            self._event(
-                now, "nocstar_setup",
-                src=src, dst=dst, hops=hops, retries=retries, hold=hold,
-            )
-        return NocstarTraversal(
-            ready=start + duration,
-            hops=hops,
-            setup_retries=retries,
-            traversal_cycles=duration,
-            links=path,
+            circuit=(self.topology, src, dst),
         )
 
     def _send_faulty(
@@ -261,16 +251,15 @@ class NocstarInterconnect:
         self.messages += 1
         if src == dst:
             self.local_messages += 1
-            return NocstarTraversal(
-                ready=now, hops=0, setup_retries=0, traversal_cycles=0, links=()
-            )
+            return NocstarTraversal(now, 0, 0, 0)
         inj = self.faults
-        path = tuple(self.topology.xy_path(src, dst))
+        path = self.topology.xy_path(src, dst)
         hops = len(path)
         duration = self.traversal_cycles(hops)
         earliest = now if speculative_setup else now + 1
         if not inj.router.path_alive(path):
             return self._fallback(src, dst, earliest, hops, attempts=1)
+        mask = self._xy_mask(src, dst)
         deadline = earliest + inj.plan.setup_timeout
         start = earliest
         attempts = 0
@@ -280,7 +269,7 @@ class NocstarInterconnect:
             if start >= deadline:
                 return self._fallback(src, dst, start, hops, attempts)
             attempts += 1
-            if not self._path_free(path, start, duration):
+            if not self._path_free(mask, start, duration):
                 start += 1  # contention: retry next cycle, as fault-free
                 continue
             if inj.drop_setup():
@@ -290,11 +279,9 @@ class NocstarInterconnect:
                 backoff = min(backoff * 2, inj.plan.max_backoff)
                 continue
             break
-        for link in path:
-            occupied = self._occupied.setdefault(link, set())
-            occupied.update(range(start, start + duration))
-            if hold:
-                self._held[link] = start + duration
+        self._occupancy.reserve(mask, start, duration)
+        if hold:
+            self._hold(mask, start + duration)
         retries = attempts - 1
         self.control_requests += hops * attempts
         self.total_hops += hops
@@ -311,7 +298,7 @@ class NocstarInterconnect:
             hops=hops,
             setup_retries=retries,
             traversal_cycles=duration,
-            links=path,
+            circuit=(self.topology, src, dst),
         )
 
     def _fallback(
@@ -321,8 +308,8 @@ class NocstarInterconnect:
 
         The failed attempts still burned control energy; the traversal
         is then charged at buffered-mesh cost (injection plus
-        router+wire per hop) over the fault-aware route.  Returns
-        ``links=()`` — no circuit is held, so round-trip hold/release
+        router+wire per hop) over the fault-aware route.  The result
+        carries no circuit (``links == ()``), so round-trip hold/release
         bookkeeping is skipped by the existing guards.
         """
         inj = self.faults
@@ -343,11 +330,16 @@ class NocstarInterconnect:
             hops=hops,
             setup_retries=attempts,
             traversal_cycles=ready - giveup,
-            links=(),
         )
 
-    def _path_free(self, path: Tuple[Link, ...], start: int, duration: int) -> bool:
-        """True if every link is free for [start, start+duration).
+    def _path_free(self, mask: int, start: int, duration: int) -> bool:
+        """True if every link of ``mask`` is free for [start, start+duration)."""
+        if self._held_mask & mask:
+            self._check_holds(mask, start + duration)
+        return self._occupancy.is_free(mask, start, duration)
+
+    def _check_holds(self, mask: int, end: int) -> None:
+        """Raise if a span ending at ``end`` runs into a held link.
 
         Arbitrating over a link that is currently *held* (round-trip
         acquisition in flight) is a protocol error: the holder releases
@@ -356,41 +348,32 @@ class NocstarInterconnect:
         waiting for it would never terminate (the release time is not
         yet known).
         """
-        cycles = range(start, start + duration)
-        held = self._held
-        occupancy = self._occupied
-        if held:
-            for link in path:
-                held_from = held.get(link)
-                if held_from is not None and start + duration > held_from:
-                    raise RuntimeError(
-                        f"link {link} is held by an unreleased round-trip "
-                        "acquisition; release() it before arbitrating again"
-                    )
-                occupied = occupancy.get(link)
-                if occupied and not occupied.isdisjoint(cycles):
-                    return False
-            return True
-        # One-way acquisition never holds links; skip the per-link
-        # held-map probes on this (dominant) path.
-        for link in path:
-            occupied = occupancy.get(link)
-            if occupied and not occupied.isdisjoint(cycles):
-                return False
-        return True
+        for link_id, held_from in self._held.items():
+            if mask >> link_id & 1 and end > held_from:
+                raise RuntimeError(
+                    f"link {self._layout.link_of(link_id)} is held by an "
+                    "unreleased round-trip acquisition; release() it "
+                    "before arbitrating again"
+                )
+
+    def _hold(self, mask: int, held_from: int) -> None:
+        for link_id in link_ids(mask):
+            self._held[link_id] = held_from
+        self._held_mask |= mask
 
     def release(self, links: Tuple[Link, ...], at: int) -> None:
         """Release round-trip-held links at cycle ``at``.
 
         The held window is converted into explicit occupancy so that
-        slightly out-of-order requests (see class docstring) still see
+        slightly out-of-order requests (see module docstring) still see
         the hold."""
         for link in links:
-            held_from = self._held.pop(link, None)
+            link_id = self._layout.link_id(link)
+            held_from = self._held.pop(link_id, None)
             if held_from is not None:
-                self._occupied.setdefault(link, set()).update(
-                    range(held_from, at)
-                )
+                bit = 1 << link_id
+                self._held_mask &= ~bit
+                self._occupancy.reserve(bit, held_from, at - held_from)
 
     def round_trip(
         self,
@@ -412,7 +395,7 @@ class NocstarInterconnect:
             # The response reuses the held path: no second arbitration.
             response_ready = lookup_done + request.traversal_cycles
             self.release(request.links, response_ready)
-            if request.links:
+            if request.circuit is not None:
                 self.messages += 1  # the response is still a message
                 self.total_hops += request.hops
                 self.uncontended_messages += 1
@@ -431,7 +414,11 @@ class NocstarInterconnect:
         Round-trip holds still in flight are not counted; every hold is
         released before a run finishes, converting it into occupancy.
         """
-        return {link: len(cycles) for link, cycles in self._occupied.items()}
+        link_of = self._layout.link_of
+        return {
+            link_of(link_id): cycles
+            for link_id, cycles in self._occupancy.busy_counts().items()
+        }
 
     @property
     def mean_setup_retries(self) -> float:
@@ -448,8 +435,9 @@ class NocstarInterconnect:
         return control_fanout(self.topology.rows, self.topology.cols)
 
     def reset(self) -> None:
-        self._occupied.clear()
+        self._occupancy.clear()
         self._held.clear()
+        self._held_mask = 0
         self.messages = self.local_messages = 0
         self.total_hops = self.total_setup_retries = 0
         self.uncontended_messages = 0

@@ -13,6 +13,7 @@ from repro.noc.latency import (
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContendedMesh, ContentionFreeMesh, Traversal
+from repro.noc.occupancy import LinkLayout, LinkOccupancy
 from repro.noc.route_cache import (
     RouteCache,
     reference_mode,
@@ -41,6 +42,8 @@ __all__ = [
     "ContendedMesh",
     "ContentionFreeMesh",
     "Traversal",
+    "LinkLayout",
+    "LinkOccupancy",
     "RouteCache",
     "reference_mode",
     "shared_route_cache",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.noc.mesh import Traversal
+from repro.noc.occupancy import LinkOccupancy
 from repro.noc.topology import MeshTopology
 
 Link = Tuple[int, int]  # (src_tile, dst_tile) express link
@@ -33,7 +34,10 @@ class FlattenedButterfly:
         #: serialisation per packet (Table I's FBFly-narrow).
         self.serialization_cycles = 4 if narrow else 0
         self.cycles_per_hop = router_cycles + wire_cycles
-        self._occupied: Dict[Link, set] = {}
+        #: Express links take ids on first use; occupancy is per-cycle
+        #: bitmasks over those ids (see repro.noc.occupancy).
+        self._link_ids: Dict[Link, int] = {}
+        self._occupancy = LinkOccupancy()
         self.messages = 0
         self.total_hops = 0
         self.total_queue_cycles = 0
@@ -53,11 +57,10 @@ class FlattenedButterfly:
         return tuple(links)
 
     def _acquire(self, link: Link, when: int, duration: int) -> int:
-        occupied = self._occupied.setdefault(link, set())
-        start = when
-        while any(start + i in occupied for i in range(duration)):
-            start += 1
-        occupied.update(range(start, start + duration))
+        link_id = self._link_ids.setdefault(link, len(self._link_ids))
+        bit = 1 << link_id
+        start = self._occupancy.first_free(bit, when, duration)
+        self._occupancy.reserve(bit, start, duration)
         return start
 
     def send(self, src: int, dst: int, now: int) -> Traversal:

@@ -9,7 +9,8 @@ re-arbitrating (§II-F, Table I).
 
 The model reserves the links of each HPC segment; a conflicting link
 splits the segment at the conflict point — exactly a SMART "premature
-stop"."""
+stop".  Segments are tested and reserved as link bitmasks against a
+:class:`~repro.noc.occupancy.LinkOccupancy` store."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Dict, List, Tuple
 
 from repro.faults.routing import UnreachableError
 from repro.noc.mesh import Traversal
+from repro.noc.occupancy import LinkLayout, LinkOccupancy
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -46,13 +48,12 @@ class SmartNetwork:
             self._route = routes.path
         else:
             self._route = topology.xy_path
-        #: link -> cycles during which it carries a flit (per-cycle
+        #: cycle -> bitmask of link ids carrying a flit (per-cycle
         #: occupancy; see the reservation note in repro.core.nocstar).
-        #: Pre-populated with every topology link so the hot send loop
-        #: can use plain indexing (no setdefault, no None checks).
-        self._occupied: Dict[Link, set] = {
-            link: set() for link in topology.all_links()
-        }
+        self._layout = LinkLayout(topology)
+        self._occupancy = LinkOccupancy()
+        #: (src, dst) -> (path, per-link bits, prefix masks).
+        self._masks: Dict[Tuple[int, int], tuple] = {}
         self.messages = 0
         self.total_hops = 0
         self.premature_stops = 0
@@ -60,15 +61,11 @@ class SmartNetwork:
 
     def link_busy_cycles(self) -> Dict[Link, int]:
         """Cycles each link carried a flit (utilization numerator)."""
+        link_of = self._layout.link_of
         return {
-            link: len(cycles)
-            for link, cycles in self._occupied.items()
-            if cycles
+            link_of(link_id): cycles
+            for link_id, cycles in self._occupancy.busy_counts().items()
         }
-
-    def _free(self, link: Link, cycle: int) -> bool:
-        occupied = self._occupied.get(link)
-        return not occupied or cycle not in occupied
 
     def _fault_route(self, src: int, dst: int) -> List[Link]:
         """Fault-aware route: bypass segments then ride the detour path
@@ -81,61 +78,79 @@ class SmartNetwork:
             )
         return list(path)
 
+    def _path_masks(self, src: int, dst: int) -> tuple:
+        """``(path, bits, prefix)`` for the route ``src -> dst``.
+
+        ``bits[i]`` is link ``i``'s bit and ``prefix[k]`` the OR of the
+        first ``k`` bits; routes never repeat a link, so the mask of
+        links ``[i, j)`` is ``prefix[j] ^ prefix[i]``.
+        """
+        key = (src, dst)
+        masks = self._masks.get(key)
+        if masks is None:
+            path = tuple(self._route(src, dst))
+            link_id = self._layout.link_id
+            bits = [1 << link_id(link) for link in path]
+            prefix = [0]
+            for bit in bits:
+                prefix.append(prefix[-1] | bit)
+            masks = self._masks[key] = (path, bits, prefix)
+        return masks
+
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        path = self._route(src, dst)
+        path, bits, prefix = self._path_masks(src, dst)
+        npath = len(path)
         self.messages += 1
-        self.total_hops += len(path)
-        if not path:
+        self.total_hops += npath
+        if not npath:
             return Traversal(arrival=now, hops=0)
         # One SSR setup cycle precedes the first data cycle.
         t = now + 1
         queued = 0
         stops = 0
         index = 0
-        occupancy = self._occupied
+        busy = self._occupancy.busy
+        get = busy.get
         hpc = self.hpc_max
-        npath = len(path)
         while index < npath:
             # A cycle where the segment's first link is busy advances
-            # nothing (the flit waits at the router), so fast-forward
-            # to the first cycle that can make progress instead of
-            # rescanning the segment once per blocked cycle — under
-            # heavy contention near the monolithic tile that rescan
-            # made send() quadratic in the queueing delay.
-            first_occupied = occupancy[path[index]]
-            while t in first_occupied:
+            # nothing (the flit waits at the router): step to the first
+            # cycle that can make progress.
+            first = bits[index]
+            occupied = get(t, 0)
+            while occupied & first:
                 queued += 1
                 t += 1
+                occupied = get(t, 0)
             end = index + hpc
             if end > npath:
                 end = npath
-            # The bypass extends as far as contiguous free links allow;
-            # advanced links are reserved as the scan passes them (they
-            # are traversed this cycle even on a premature stop), so
-            # check and reservation share one loop — the model's
-            # innermost.
-            i = index
-            while i < end:
-                occupied = occupancy[path[i]]
-                if t in occupied:
-                    break
-                occupied.add(t)
-                i += 1
-            t += 1  # the bypass segment crosses in one cycle
-            if i == end:
-                index = end
-            else:
+            segment = prefix[end] ^ prefix[index]
+            if occupied & segment:
+                # Premature stop: the bypass extends up to the first
+                # busy link, whose predecessors are still traversed
+                # (and reserved) this cycle; the flit is latched at an
+                # intermediate router.
+                i = index + 1
+                while not occupied & bits[i]:
+                    i += 1
+                busy[t] = occupied | (prefix[i] ^ prefix[index])
                 index = i
-                # Premature stop: latched at an intermediate router.
                 stops += 1
-                t += 1  # router traversal + re-arbitration
+                t += 2  # bypass cycle + router traversal/re-arbitration
+            else:
+                # The whole segment is free: one AND tested it, one OR
+                # reserves it, and it crosses in one cycle.
+                busy[t] = occupied | segment
+                index = end
+                t += 1
         self.premature_stops += stops
         self.total_queue_cycles += queued
         if self._event is not None:
             self._event(
                 now, "smart_setup",
-                src=src, dst=dst, hops=len(path), stops=stops, queued=queued,
+                src=src, dst=dst, hops=npath, stops=stops, queued=queued,
             )
         return Traversal(
-            arrival=t, hops=len(path), queue_cycles=queued, links=tuple(path)
+            arrival=t, hops=npath, queue_cycles=queued, links=path
         )

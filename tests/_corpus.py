@@ -105,6 +105,14 @@ def differential_corpus():
             cfg.nocstar(8, config=NocstarConfig(acquire=ROUND_TRIP)),
             "gups",
         ),
+        # 64 tiles at HPCmax=4: traversals take up to ceil(14/4) = 4
+        # cycles, so multi-cycle reservations and the retry jump past
+        # busy cycles run outside the 1024-tile configs too.
+        _single(
+            "nocstar-hpc4",
+            cfg.nocstar(64, config=NocstarConfig(hpc_max=4)),
+            "graph500",
+        ),
         _single("nocstar-ideal", cfg.build_config("nocstar-ideal", 8), "olio"),
         _single("ideal", cfg.ideal(8), "canneal"),
         _single(
