@@ -85,8 +85,10 @@ _SCHEME_COST = {
     "nocstar": 1.45,
 }
 
-#: Storms and shootdowns force the engine's reference drive loop (the
-#: batched fast path bows out), roughly doubling per-access cost.
+#: Storms and shootdowns roughly double per-access cost: their flushes
+#: and invalidations turn L1 hits into misses, each paying a full L2
+#: transaction (and the record-at-a-time event loop replaces the
+#: batched one).
 _REFERENCE_LOOP_COST = 2.0
 
 

@@ -8,7 +8,7 @@ re-enters the heap at its resume time.  The quantum bounds how far a
 core's resource reservations can run ahead of the global frontier (see
 DESIGN.md, simulator notes).
 
-Two drive loops produce bit-identical results:
+Four drive loops produce bit-identical results:
 
 * the **batched fast path** (default): absent storms and shootdowns,
   nothing outside a core ever touches its L1 TLBs, so each core's
@@ -17,11 +17,17 @@ Two drive loops produce bit-identical results:
   compiling it into cycle prefix sums plus the exact miss positions;
   the drive loop then advances whole guaranteed-hit segments per heap
   pop with one bisect instead of one Python iteration per record.
-* the **reference loop** (``REPRO_REFERENCE_ENGINE=1``, and any run
-  with storms or shootdowns — they invalidate L1 entries externally):
-  the original record-at-a-time loop, kept verbatim.  The differential
-  test harness proves both paths byte-identical, which is why
-  ``ENGINE_VERSION`` did not change for the fast path.
+* the **vectorized loop** (mega-mesh scale, see
+  :mod:`repro.sim.engine_vec`): the batched loop without expiry heap
+  pops, selected inside the batched gate.
+* the **event loop** (any run with storms or shootdowns — they
+  invalidate L1 entries externally, so hits cannot be precompiled):
+  record at a time like the reference loop, but over pre-merged
+  streams with the L1 probe inlined.
+* the **reference loop** (``REPRO_REFERENCE_ENGINE=1``, for every
+  run): the original record-at-a-time loop, kept verbatim.  The
+  differential test harness proves the other loops byte-identical to
+  it, which is why ``ENGINE_VERSION`` did not change for them.
 
 Optional pathological traffic (§V) is injected at the global frontier:
 *storms* (context-switch flushes plus superpage-promotion invalidation
@@ -257,8 +263,15 @@ def simulate(
             finishes = _drive_batched(
                 system, workload, quantum, sink, watchdog_cycles
             )
-    else:
+    elif reference_mode():
         finishes = _drive_reference(
+            system, workload, quantum, storm, shootdown, sink,
+            watchdog_cycles,
+        )
+    else:
+        # Storms/shootdowns invalidate L1 entries mid-run, so hits cannot
+        # be precompiled; the record loop runs with the L1 probe inlined.
+        finishes = _drive_events(
             system, workload, quantum, storm, shootdown, sink,
             watchdog_cycles,
         )
@@ -296,9 +309,8 @@ def _drive_reference(
 ) -> List[int]:
     """The original record-at-a-time drive loop (kept verbatim).
 
-    Always used for storm/shootdown runs (external L1 invalidations
-    break the fast path's precompiled hit/miss sequence) and forced via
-    ``REPRO_REFERENCE_ENGINE=1`` as the differential-testing baseline.
+    Forced via ``REPRO_REFERENCE_ENGINE=1`` as the differential-testing
+    baseline; storm/shootdown runs otherwise take :func:`_drive_events`.
     """
     num_cores = system.config.num_cores
     states = [_CoreState(workload.core_streams(c)) for c in range(num_cores)]
@@ -362,6 +374,112 @@ def _drive_reference(
             heapq.heappush(heap, (t, core))
 
     return [state.finish or 0 for state in states]
+
+
+def _drive_events(
+    system: System,
+    workload: Workload,
+    quantum: int,
+    storm: Optional[StormConfig],
+    shootdown: Optional[ShootdownTraffic],
+    sink,
+    watchdog_cycles: Optional[int],
+) -> List[int]:
+    """Record-at-a-time loop for storm/shootdown runs.
+
+    Bit-identical to :func:`_drive_reference`: the same heap, pending-
+    penalty, event-injection and watchdog steps, with two hot spots
+    flattened.  Each core walks its pre-merged stream
+    (:func:`_merged_stream`, the exact ``_CoreState.next_record``
+    order), and the L1 probe is inlined as in :func:`_compile_core`.
+    Unlike the compile pre-pass, the probe runs against live arrays at
+    drive time, so external invalidations between heap pops are seen.
+    """
+    num_cores = system.config.num_cores
+    streams = [
+        _merged_stream(workload.core_streams(c)) for c in range(num_cores)
+    ]
+    positions = [0] * num_cores
+    finishes = [0] * num_cores
+    heap: List[Tuple[int, int]] = [(0, core) for core in range(num_cores)]
+    heapq.heapify(heap)
+
+    next_storm = storm.period if storm else None
+    next_shoot = shootdown.period if shootdown else None
+    storm_seq = 0
+    shoot_seq = 0
+    # Per core: page size -> (sets, index shift, set count, array).
+    l1_bindings = [
+        {
+            size: (array._sets, array.index_shift, array.num_sets, array)
+            for size, array in l1._arrays.items()
+        }
+        for l1 in system.l1s
+    ]
+    pending = system.pending_penalty
+    l2_transaction = system.l2_transaction
+    observed = sink.enabled
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    while heap:
+        t, core = heappop(heap)
+        if watchdog_cycles is not None and t > watchdog_cycles:
+            raise WatchdogExpired(
+                f"core {core} resumed at cycle {t}, past the "
+                f"{watchdog_cycles}-cycle watchdog"
+            )
+        if pending[core]:
+            t += pending[core]
+            pending[core] = 0
+        # Pathological traffic fires at the global frontier (t is minimal).
+        if next_storm is not None and t >= next_storm:
+            _apply_storm(system, storm, next_storm, storm_seq)
+            storm_seq += 1
+            next_storm += storm.period
+        if next_shoot is not None and t >= next_shoot:
+            _apply_shootdown_traffic(system, shootdown, next_shoot, shoot_seq)
+            shoot_seq += 1
+            next_shoot += shootdown.period
+        deadline = t + quantum
+        stream = streams[core]
+        end = len(stream)
+        pos = positions[core]
+        bindings = l1_bindings[core]
+        last_size = None  # forces a binding fetch on the first record
+        while t < deadline:
+            if pos == end:
+                finishes[core] = t  # drained: do not re-enter the heap
+                break
+            gap, asid, size, page_number = stream[pos]
+            pos += 1
+            t += gap + 1
+            if size != last_size:
+                sets, shift, num_sets, array = bindings[size]
+                last_size = size
+            cache_set = sets[(page_number >> shift) % num_sets]
+            key = (asid, size, page_number)
+            # A lazily-constructed set (None) is empty: always a miss,
+            # and insert() below materialises it.
+            if cache_set is not None and key in cache_set:
+                cache_set.move_to_end(key)
+                array.hits += 1
+                continue
+            array.misses += 1
+            if observed:
+                sink.event(t, "l1_lookup", core=core, hit=False)
+            stall = l2_transaction(core, asid, size, page_number, t)
+            if observed:
+                sink.observe("translation.stall_cycles", stall)
+            t += stall
+            array.insert(asid, size, page_number)
+            heappush(heap, (t, core))
+            break
+        else:
+            heappush(heap, (t, core))
+        positions[core] = pos
+
+    return finishes
 
 
 class _CompiledCore:

@@ -485,18 +485,34 @@ class System:
         self.sink.event(
             now, "shootdown", initiator=initiator, entries=len(entries)
         )
+        # Every core's L1s (and private L2s) share one geometry, so the
+        # keys are bucketed by set once and the buckets reused per core.
+        by_size: Dict[int, List[Tuple[int, int, int]]] = {}
+        for entry in entries:
+            by_size.setdefault(entry[1], []).append(entry)
+        l1_groups = [
+            (size, self.l1s[0].array(size).group_by_set(keys))
+            for size, keys in by_size.items()
+        ]
+        pending = self.pending_penalty
         for core in range(n):
-            for asid, size, page_number in entries:
-                self.l1s[core].invalidate(asid, size, page_number)
-            self.pending_penalty[core] += IPI_CYCLES
+            l1 = self.l1s[core]
+            for size, groups in l1_groups:
+                l1.array(size).invalidate_groups(groups)
+            pending[core] += IPI_CYCLES
         if self.config.scheme == cfg.PRIVATE:
+            l2_groups = self.private_l2[0].array.group_by_set(entries)
             for core in range(n):
-                for asid, size, page_number in entries:
-                    self.private_l2[core].invalidate(asid, size, page_number)
-                self.pending_penalty[core] += len(entries)
+                self.private_l2[core].array.invalidate_groups(l2_groups)
+                pending[core] += len(entries)
             return
-        homes = sorted({self.shared_l2.home(pn, a) for a, _, pn in entries})
-        plan = self.invalidation.plan(initiator, homes)
+        shared = self.shared_l2
+        per_home: Dict[int, List[Tuple[int, int, int]]] = {}
+        for entry in entries:
+            per_home.setdefault(shared.home(entry[2], entry[0]), []).append(
+                entry
+            )
+        plan = self.invalidation.plan(initiator, sorted(per_home))
         self.stats.shootdown_messages += len(plan.messages)
         completion = now
         sender_done: Dict[int, int] = {}
@@ -506,10 +522,8 @@ class System:
                 dst_tile = message.dst
             arrival = self._plain_send(message.src, dst_tile, now)
             if message.kind == "invalidate":
-                per_slice = [e for e in entries
-                             if self.shared_l2.home(e[2], e[0]) == message.dst]
-                finish = self.shared_l2.write_ports[message.dst].reserve_many(
-                    arrival, max(1, len(per_slice))
+                finish = shared.write_ports[message.dst].reserve_many(
+                    arrival, max(1, len(per_home.get(message.dst, ())))
                 )
             else:
                 finish = arrival
@@ -522,10 +536,11 @@ class System:
             completion = max(completion, finish)
         for sender, done in sender_done.items():
             if sender != initiator:
-                self.pending_penalty[sender] += done - now
-        for asid, size, page_number in entries:
-            self.shared_l2.invalidate(asid, size, page_number)
-        self.pending_penalty[initiator] += completion - now
+                pending[sender] += done - now
+        for home, keys in per_home.items():
+            shard = shared.shards[home]
+            shard.invalidate_groups(shard.group_by_set(keys))
+        pending[initiator] += completion - now
 
     def _plain_send(self, src: int, dst: int, now: int) -> int:
         """Deliver a shootdown relay/invalidate message.

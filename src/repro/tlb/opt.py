@@ -12,12 +12,12 @@ Canonical stream
 ----------------
 The offline order is the engine's statically deterministic interleave:
 each core's SMT streams are merged round-robin (the
-``_CoreState.next_record`` order the batched engine materialises in
-``_merged_stream``), then one record is taken per core per round across
-cores.  It is *an* order, not *the* timing-dependent DES order — what
-matters for the bound is that OPT and every online policy replay the
-**same** sequence, which is what makes per-slice dominance
-(hit-rate(OPT) >= hit-rate(policy)) hold by construction.
+``_CoreState.next_record`` order that the batched and event engines
+materialise in ``_merged_stream``), then one record is taken per core
+per round across cores.  It is *an* order, not *the* timing-dependent
+DES order — what matters for the bound is that OPT and every online
+policy replay the **same** sequence, which is what makes per-slice
+dominance (hit-rate(OPT) >= hit-rate(policy)) hold by construction.
 
 The replay models the L2 structure in isolation (no L1 filtering, no
 QoS quota): every record is one structure access.  Online policies run

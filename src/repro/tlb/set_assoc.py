@@ -19,11 +19,14 @@ L1 TLBs must stay on the default policy; L2 structures may run any.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.tlb.policies import POLICIES, make_policy
+from repro.tlb.policies import POLICIES, LruState, make_policy
 
 Key = Tuple[int, int, int]  # (asid, page_size, page_number)
+
+#: Keys bucketed by set index (see :meth:`SetAssociativeTLB.group_by_set`).
+SetGroups = Dict[int, List[Key]]
 
 
 class SetAssociativeTLB:
@@ -143,6 +146,39 @@ class SetAssociativeTLB:
         """
         return self._set_for(page_number).remove((asid, page_size, page_number))
 
+    def group_by_set(self, keys: Iterable[Key]) -> SetGroups:
+        """Bucket ``keys`` by set index for :meth:`invalidate_groups`.
+
+        The grouping depends only on ``(index_shift, num_sets)``, so one
+        grouping serves every array of the same geometry — e.g. all
+        cores' L1s, or all private L2s, during one shootdown.
+        """
+        shift = self.index_shift
+        num_sets = self.num_sets
+        groups: SetGroups = {}
+        for key in keys:
+            groups.setdefault((key[2] >> shift) % num_sets, []).append(key)
+        return groups
+
+    def invalidate_groups(self, groups: SetGroups) -> int:
+        """Bulk :meth:`invalidate`; returns how many keys were resident.
+
+        Same end state as invalidating each key in turn, but sets that
+        hold no state are skipped without being materialised: a lazy
+        (``None``) set, or an empty LRU set.  ARC/2Q sets always go
+        through ``remove()`` so ghost history is forgotten even when no
+        key is resident.
+        """
+        skip_empty = self._state_cls is LruState
+        removed = 0
+        for index, group in groups.items():
+            cache_set = self._sets[index]
+            if cache_set is None or (skip_empty and not cache_set):
+                continue
+            for key in group:
+                removed += cache_set.remove(key)
+        return removed
+
     def invalidate_asid(self, asid: int) -> int:
         """Drop every translation belonging to ``asid`` (context teardown)."""
         return sum(
@@ -153,9 +189,10 @@ class SetAssociativeTLB:
 
     def flush(self) -> int:
         """Drop everything (full-TLB flush on context switch, §V storms)."""
-        dropped = self.occupancy
+        dropped = 0
         for cache_set in self._sets:
             if cache_set is not None:
+                dropped += len(cache_set)
                 cache_set.clear()
         return dropped
 

@@ -68,8 +68,10 @@ def differential_corpus():
 
     Spans every interconnect model, faults on/off, metrics/trace on/off,
     the pathological-traffic workloads (context-switch storms and
-    shootdown trains, which force the reference drive loop in both
-    engines but still cross the route-cache dispatch), and the
+    shootdown trains, on shared and private L2s, with and without the
+    flush; they take the inlined event loop, or the reference loop
+    under ``REPRO_REFERENCE_ENGINE=1``, and still cross the
+    route-cache dispatch), and the
     replacement-policy/arbitration axis (arc/twoq L2 slices and the
     priority arbiter must stay byte-identical across engines, job
     counts, and cache replay like everything else).
@@ -166,6 +168,23 @@ def differential_corpus():
             "nocstar-prio", cfg.build_config("nocstar-prio", 8), "olio"
         ),
         _single("private-twoq", cfg.private(8, policy="twoq"), "canneal"),
+        # Fig 19's shape on private L2s: storms flush, then a 512-entry
+        # burst invalidates every core's L1s and private L2.
+        _single(
+            "private-storm",
+            cfg.private(8),
+            "graph500",
+            storm=StormConfig(period=4000),
+        ),
+        # No flush: the burst hits live L1 sets and ARC L2 sets that
+        # still hold ghost history (a 128-entry L2 fills sets, and so
+        # makes ghosts, within 400 gups accesses).
+        _single(
+            "private-arc-storm-noflush",
+            cfg.private(8, policy="arc", entries_per_core=128),
+            "gups",
+            storm=StormConfig(period=4000, flush=False),
+        ),
         _single(
             "monolithic-arc-shootdown",
             cfg.monolithic(8, policy="arc"),

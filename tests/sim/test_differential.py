@@ -6,7 +6,9 @@ let ``ENGINE_VERSION`` stay unchanged.  This suite is the proof: every
 corpus scenario (all interconnects, faults on/off, observability
 on/off, storm/shootdown traffic) must produce byte-identical
 ``RunResult`` snapshots and trace exports under both engines, across
-serial, parallel, and cache-replayed execution.
+serial, parallel, and cache-replayed execution.  Storm/shootdown
+scenarios compare the inlined event loop (``_drive_events``) against
+the verbatim reference loop.
 """
 
 import pytest
@@ -67,9 +69,9 @@ def test_vectorized_engine_byte_identical(name, scenario, monkeypatch, tmp_path)
     """Forcing the mega-mesh drive loop never changes a single byte.
 
     Every corpus scenario runs under the default dispatch and with
-    ``REPRO_VECTORIZED_ENGINE=1``; storm/shootdown scenarios fall back
-    exactly as the batched path does, which this comparison also
-    proves (a broken fallback would diverge, not skip).
+    ``REPRO_VECTORIZED_ENGINE=1``; storm/shootdown scenarios take the
+    event loop either way, which this comparison also proves (a broken
+    dispatch would diverge, not skip).
     """
     monkeypatch.delenv(REFERENCE_ENV, raising=False)
     monkeypatch.delenv(VECTORIZED_ENV, raising=False)
@@ -109,18 +111,40 @@ def test_fast_path_engages_and_reference_env_disables_it(monkeypatch):
     assert not calls, "REPRO_REFERENCE_ENGINE=1 must force the reference loop"
 
 
-def test_storm_and_shootdown_runs_use_the_reference_loop(monkeypatch):
+def test_storm_and_shootdown_runs_use_the_event_loop(monkeypatch):
     # External L1 invalidations void the precompiled hit/miss sequence,
-    # so these scenarios must take the reference loop even when the
-    # fast path is otherwise enabled.
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.setattr(
-        engine, "_drive_batched",
-        lambda *a, **k: pytest.fail("batched path used under storms"),
-    )
-    by_name = dict(CORPUS)
-    by_name["nocstar-storm"].units()[0].execute()
-    by_name["distributed-shootdown"].units()[0].execute()
+    # so these scenarios must take the record-at-a-time event loop —
+    # never the batched or vectorized loop — and the reference switch
+    # must still force the verbatim reference loop.
+    def forbid(name):
+        return lambda *a, **k: pytest.fail(f"{name} loop used under storms")
+
+    monkeypatch.setattr(engine, "_drive_batched", forbid("batched"))
+    monkeypatch.setattr(engine, "_drive_vectorized", forbid("vectorized"))
+    storm_scenarios = [
+        scenario for _, scenario in CORPUS
+        if scenario.storm is not None or scenario.shootdown is not None
+    ]
+    assert len(storm_scenarios) >= 4
+    loops = {name: getattr(engine, name)
+             for name in ("_drive_events", "_drive_reference")}
+    for reference, taken, skipped in (
+        (False, "_drive_events", "_drive_reference"),
+        (True, "_drive_reference", "_drive_events"),
+    ):
+        calls = []
+
+        def spy(*args, _real=loops[taken], **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, taken, spy)
+        monkeypatch.setattr(engine, skipped, forbid(skipped))
+        for env in ("0", "1"):
+            monkeypatch.setenv(VECTORIZED_ENV, env)
+            for scenario in storm_scenarios:
+                _execute(scenario, monkeypatch, reference)
+        assert len(calls) == 2 * len(storm_scenarios)
 
 
 def test_runner_strategies_agree_across_engines(monkeypatch):
