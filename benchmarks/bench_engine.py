@@ -1,9 +1,9 @@
 """Engine fast-path bench: batched drive loop vs the reference loop.
 
 Standalone script (not a pytest bench): times one 64-core simulation
-under the batched engine (segment-compiled L1 hits + RouteCache) and
-under the ``REPRO_REFERENCE_ENGINE=1`` reference loop, prints both,
-and writes the machine-readable ``BENCH_engine.json`` artefact under
+under the batched engine (segment-compiled L1 hits) and under the
+``REPRO_REFERENCE_ENGINE=1`` reference loop (both read the same
+RouteCache tables), prints both, and writes the machine-readable ``BENCH_engine.json`` artefact under
 ``benchmarks/results/`` (override with argv[1]).
 
     PYTHONPATH=src python benchmarks/bench_engine.py [out.json]

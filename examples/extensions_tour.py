@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from repro.analysis.tables import render_table
 from repro.sim import configs as cfg
-from repro.api import compare, simulate
+from repro.api import Runner, simulate
 from repro.vm import AsidManager
 from repro.workloads import WORKLOADS, build_multiprogrammed
 from repro.workloads.microbench import build_slice_hammer
@@ -45,7 +45,7 @@ def qos_demo() -> None:
     rows = []
     for quota, label in ((None, "no QoS"), (2, "2-way quota")):
         config = replace(cfg.nocstar(CORES), qos_way_quota=quota, name=label)
-        lineup = compare(mix, [cfg.private(CORES), config])
+        lineup = Runner().run_prebuilt(mix, [cfg.private(CORES), config])
         result = lineup.results[label]
         apps = result.app_speedups_over(lineup.baseline)
         rows.append(

@@ -10,7 +10,7 @@ Run:  python examples/multiprogrammed.py
 """
 
 from repro.analysis.tables import render_table
-from repro.api import compare, distributed, monolithic, nocstar, private
+from repro.api import Runner, distributed, monolithic, nocstar, private
 from repro.workloads import WORKLOADS, build_multiprogrammed
 from repro.workloads.multiprog import sample_combinations
 
@@ -22,6 +22,7 @@ def main() -> None:
         private(cores), monolithic(cores), distributed(cores), nocstar(cores)
     ]
 
+    runner = Runner()
     rows = []
     for combo in combos:
         print(f"Simulating {' + '.join(combo)} ...")
@@ -31,7 +32,7 @@ def main() -> None:
             accesses_per_core=3_000,
             seed=1,
         )
-        lineup = compare(workload, configs)
+        lineup = runner.run_prebuilt(workload, configs)
         for config in ("monolithic-mesh", "distributed", "nocstar"):
             result = lineup.results[config]
             throughput = result.speedup_over(lineup.baseline)

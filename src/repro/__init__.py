@@ -35,7 +35,7 @@ Quickstart::
     print(cmp.speedup("nocstar"))
 """
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 from repro import analysis, api, core, energy, mem, noc, serve, sim, tlb, vm, workloads
 from repro import exec as exec_  # "exec" shadows the builtin; alias too

@@ -1,16 +1,18 @@
 """``repro.api`` — the supported public surface of this package.
 
 This facade is the stability boundary: everything in ``__all__`` below
-keeps its name and semantics across releases, with deprecation cycles
-for any change.  Internal modules (``repro.sim.engine`` internals, TLB
+keeps its name and semantics within a major version; removals bump the
+major version.  Internal modules (``repro.sim.engine`` internals, TLB
 structures, NoC models, ...) may be imported directly for research, but
 only what is re-exported here is covered by that promise.
 :data:`VERSION` names the facade revision; bump it whenever the surface
-grows (see the migration table in DESIGN.md for what moved where).
+changes (see the migration table in DESIGN.md for what moved where).
 
-Legacy package-level entry points (``from repro.sim import simulate`` /
-``compare`` / ``run_suite``) still work but emit
-:class:`DeprecationWarning` — this module is their supported home.
+The run harness takes one form each: ``simulate(config, workload,
+...)`` on a built trace, and ``compare(scenario)`` /
+``run_suite(scenario)`` on a :class:`Scenario`.  Built traces and
+multiprogrammed mixes run across a lineup with
+``Runner.run_prebuilt``.
 
 Typical use::
 
@@ -134,7 +136,7 @@ from repro.workloads.generators import (
 from repro.workloads.registry import WORKLOAD_NAMES, WORKLOADS, get_workload
 from repro.workloads.spec import WorkloadSpec
 
-#: Facade revision.  Bumped whenever names are added to (or deprecated
+#: Facade revision.  Bumped whenever names are added to (or removed
 #: from) this surface; independent of the engine/telemetry versions.
 #: 1.3.0: span tracing (Tracer/Span/load_spans/write_spans/render_tree)
 #: and Prometheus exposition (render_prometheus).
@@ -144,7 +146,12 @@ from repro.workloads.spec import WorkloadSpec
 #: 1.5.0: the replacement-policy zoo (POLICY_NAMES/make_policy/
 #: ReplacementPolicy, SystemConfig.policy/.arbitration) and the offline
 #: Belady bound (offline_policy_eval/pct_of_opt/PolicyEval).
-VERSION = "1.5.0"
+#: 2.0.0: removed the deprecated forms — ``from repro.sim import
+#: simulate/compare/run_suite``, ``simulate(scenario)``,
+#: ``compare(workload, configurations, ...)`` and
+#: ``run_suite(configurations, num_cores, ...)`` — and the page
+#: walkers' result object (``walk`` returns the latency as an int).
+VERSION = "2.0.0"
 
 __all__ = [
     "VERSION",

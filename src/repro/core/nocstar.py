@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.core.config import NocstarConfig, ONE_WAY, ROUND_TRIP
+from repro.core.config import NocstarConfig
 from repro.core.link_arbiter import control_fanout
 from repro.faults.inject import (
     FALLBACK_CYCLES_PER_HOP,
@@ -48,6 +48,7 @@ from repro.faults.inject import (
 )
 from repro.faults.routing import UnreachableError
 from repro.noc.occupancy import LinkLayout, LinkOccupancy, link_ids
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -101,7 +102,13 @@ class NocstarInterconnect:
         #: paths then skip building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
+        routes = routes or shared_route_cache(topology.num_tiles)
+        self.routes = routes
+        # Hop counts and uncontended traversal durations are pure
+        # (src, dst) functions, read from the fault-free tables; the
+        # link arbitration itself is always live.
+        self._hops = routes.hops
+        self._cycles = routes.nocstar_cycles(config.hpc_max)
         self._layout = LinkLayout(topology)
         self._xy_mask = self._layout.xy_mask
         if faults is not None and (
@@ -110,13 +117,6 @@ class NocstarInterconnect:
             # Construction-time dispatch: the fault-free hot path stays
             # branch-free and byte-identical to the pre-fault model.
             self.send = self._send_faulty
-        elif routes is not None:
-            # Same dispatch pattern for the route cache: hop counts and
-            # uncontended traversal durations come from the precomputed
-            # fault-free tables; arbitration stays live.
-            self._cached_hops = routes.hops
-            self._cached_cycles = routes.nocstar_cycles(config.hpc_max)
-            self.send = self._send_routed
         #: cycle -> bitmask of link ids carrying data in that cycle.
         self._occupancy = LinkOccupancy()
         #: link id -> cycle from which the link is held (round-trip
@@ -151,54 +151,19 @@ class NocstarInterconnect:
         preceding work (the paper sets up the response path during the
         slice lookup, §III-C).  ``hold`` keeps the links reserved until
         :meth:`release` — round-trip acquisition.
-        """
-        hops = self.topology.hops(src, dst)
-        return self._arbitrate(
-            src, dst, now, hops, self.traversal_cycles(hops),
-            speculative_setup, hold,
-        )
 
-    def _send_routed(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        speculative_setup: bool = False,
-        hold: bool = False,
-    ) -> NocstarTraversal:
-        """:meth:`send` off the precomputed fault-free route tables.
-
-        Only the pure (src, dst) functions — the hop count and the
-        uncontended traversal duration — come from the cache; the
-        per-cycle link reservations, retries, and round-trip holds run
-        through the same live arbitration as :meth:`send`.
-        """
-        return self._arbitrate(
-            src, dst, now, self._cached_hops[src][dst],
-            self._cached_cycles[src][dst], speculative_setup, hold,
-        )
-
-    def _arbitrate(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        hops: int,
-        duration: int,
-        speculative_setup: bool,
-        hold: bool,
-    ) -> NocstarTraversal:
-        """Set up the XY circuit at the first cycle all its links are
-        free for ``duration`` cycles, and reserve it.
-
-        Each failed cycle is one setup retry; the search jumps past
-        busy cycles (:meth:`LinkOccupancy.first_free`), which lands on
-        the same first feasible start as retrying cycle by cycle.
+        The XY circuit is set up at the first cycle all its links are
+        free for the traversal's duration, and reserved.  Each failed
+        cycle is one setup retry; the search jumps past busy cycles
+        (:meth:`LinkOccupancy.first_free`), which lands on the same
+        first feasible start as retrying cycle by cycle.
         """
         self.messages += 1
         if src == dst:
             self.local_messages += 1
             return NocstarTraversal(now, 0, 0, 0)
+        hops = self._hops[src][dst]
+        duration = self._cycles[src][dst]
         mask = self._xy_mask(src, dst)
         earliest = now if speculative_setup else now + 1
         start = self._occupancy.first_free(mask, earliest, duration)
@@ -375,36 +340,6 @@ class NocstarInterconnect:
                 self._held_mask &= ~bit
                 self._occupancy.reserve(bit, held_from, at - held_from)
 
-    def round_trip(
-        self,
-        src: int,
-        dst: int,
-        now: int,
-        service_cycles: int,
-    ) -> Tuple[int, int]:
-        """Complete remote transaction; returns (response_ready, retries).
-
-        Dispatches on the configured acquisition mode: one-way arbitrates
-        separately for request and response (response setup speculative,
-        §III-C); round-trip holds the request path's links until the
-        response lands.
-        """
-        if self.config.acquire == ROUND_TRIP:
-            request = self.send(src, dst, now, hold=True)
-            lookup_done = request.ready + service_cycles
-            # The response reuses the held path: no second arbitration.
-            response_ready = lookup_done + request.traversal_cycles
-            self.release(request.links, response_ready)
-            if request.circuit is not None:
-                self.messages += 1  # the response is still a message
-                self.total_hops += request.hops
-                self.uncontended_messages += 1
-            return response_ready, request.setup_retries
-        request = self.send(src, dst, now)
-        lookup_done = request.ready + service_cycles
-        response = self.send(dst, src, lookup_done, speculative_setup=True)
-        return response.ready, request.setup_retries + response.setup_retries
-
     # ------------------------------------------------------------------
     # Introspection
 
@@ -433,12 +368,3 @@ class NocstarInterconnect:
     def control_wires_per_core(self) -> int:
         """Fan-out of control wires per core under XY routing."""
         return control_fanout(self.topology.rows, self.topology.cols)
-
-    def reset(self) -> None:
-        self._occupancy.clear()
-        self._held.clear()
-        self._held_mask = 0
-        self.messages = self.local_messages = 0
-        self.total_hops = self.total_setup_retries = 0
-        self.uncontended_messages = 0
-        self.control_requests = 0

@@ -12,9 +12,10 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.faults.routing import UnreachableError
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -50,7 +51,10 @@ class ContentionFreeMesh:
         self.wire_cycles = wire_cycles
         self.cycles_per_hop = router_cycles + wire_cycles
         self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
+        routes = routes or shared_route_cache(topology.num_tiles)
+        self.routes = routes
+        self._hops = routes.hops
+        self._latency = routes.mesh_latency(self.cycles_per_hop)
         self.messages = 0
         self.total_hops = 0
         #: link -> messages carried; populated only when observed.
@@ -58,38 +62,29 @@ class ContentionFreeMesh:
         if faults is not None and faults.router.dead:
             # Fault-aware routing subsumes observation: the detour path
             # must be computed anyway, so links are always accounted.
-            # Dead links also invalidate the fault-free route cache.
-            self.send = self._send_fault_routed  # type: ignore[method-assign]
+            # Dead links also invalidate the fault-free route tables.
+            self._route = self._fault_route
+            self.send = self._send_path  # type: ignore[method-assign]
         elif sink.enabled:
             # Construction-time dispatch, not per-send branching: the
-            # unobserved send never pays for XY path computation.
-            self.send = self._send_observed  # type: ignore[method-assign]
-        elif routes is not None:
-            self._hops = routes.hops
-            self._latency = routes.mesh_latency(self.cycles_per_hop)
-            self.send = self._send_cached  # type: ignore[method-assign]
+            # unobserved send never touches a link path.
+            self._route = routes.path
+            self.send = self._send_path  # type: ignore[method-assign]
 
     def send(self, src: int, dst: int, now: int) -> Traversal:
-        hops = self.topology.hops(src, dst)
-        self.messages += 1
-        self.total_hops += hops
-        return Traversal(arrival=now + hops * self.cycles_per_hop, hops=hops)
-
-    def _send_cached(self, src: int, dst: int, now: int) -> Traversal:
-        """send() off the precomputed fault-free hop/latency tables."""
         hops = self._hops[src][dst]
         self.messages += 1
         self.total_hops += hops
         return Traversal(arrival=now + self._latency[src][dst], hops=hops)
 
-    def _send_observed(self, src: int, dst: int, now: int) -> Traversal:
-        """send() plus per-link accounting; timing is identical (the XY
-        path length equals the Manhattan hop count)."""
-        routes = self.routes
-        if routes is not None:
-            path = routes.path(src, dst)
-        else:
-            path = self.topology.xy_path(src, dst)
+    def _send_path(self, src: int, dst: int, now: int) -> Traversal:
+        """send() over an explicit link path, with per-link accounting.
+
+        Detours lengthen the path beyond the Manhattan distance, so the
+        hop count (and latency) comes from the path itself; on the
+        fault-free XY route it equals the table-driven :meth:`send`.
+        """
+        path = self._route(src, dst)
         for link in path:
             self.link_traversals[link] = self.link_traversals.get(link, 0) + 1
         self.messages += 1
@@ -97,30 +92,18 @@ class ContentionFreeMesh:
         return Traversal(
             arrival=now + len(path) * self.cycles_per_hop,
             hops=len(path),
-            links=tuple(path),
+            links=path,
         )
 
-    def _send_fault_routed(self, src: int, dst: int, now: int) -> Traversal:
-        """send() over the fault-aware route around dead links.
-
-        Detours lengthen the path beyond the Manhattan distance, so the
-        hop count (and latency) comes from the routed path itself.
-        """
+    def _fault_route(self, src: int, dst: int) -> Tuple[Link, ...]:
+        """The fault-aware route around dead links."""
         path = self.faults.router.route(src, dst)
         if path is None:
             raise UnreachableError(
                 f"no alive route {src}->{dst}; caller must pre-check "
                 "reachability and degrade to a local walk"
             )
-        for link in path:
-            self.link_traversals[link] = self.link_traversals.get(link, 0) + 1
-        self.messages += 1
-        self.total_hops += len(path)
-        return Traversal(
-            arrival=now + len(path) * self.cycles_per_hop,
-            hops=len(path),
-            links=tuple(path),
-        )
+        return path
 
     def link_busy_cycles(self) -> Dict[Link, int]:
         """Cycles each link's wire carried a flit (observed runs only)."""

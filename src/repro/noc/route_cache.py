@@ -28,19 +28,16 @@ Storage is sized for mega meshes (1024 tiles = 1M pairs per table):
   tables would cost O(N^2 * diameter) tuples up front, which the large
   scalability sweeps never fully touch.
 
-The cache holds **fault-free** routes only.  Consumers dispatch at
-construction time (mirroring the obs/faults pattern): a network built
-with dead links routes through its :class:`~repro.faults.routing.
-FaultAwareRouter` and never consults the cache, and contended sends
-fall through to the live reservation model untouched — the cache
-supplies the path and the uncontended duration, never the arbitration
-outcome.
-
-``REPRO_REFERENCE_ENGINE=1`` disables the cache (and the engine's
-batched fast path, see :mod:`repro.sim.engine`): the reference
-configuration recomputes every route live, which is what the
-differential harness compares bit-for-bit against the cached fast
-path.
+The cache holds **fault-free** routes only, and is the single source of
+them: :class:`~repro.sim.system.System` always shares
+:func:`shared_route_cache`, and every interconnect built without an
+explicit ``routes`` argument defaults to it.  A network built with dead
+links routes through its :class:`~repro.faults.routing.FaultAwareRouter`
+instead, and contended sends still run the live reservation model — the
+cache supplies the path and the uncontended duration, never the
+arbitration outcome.  :class:`~repro.noc.topology.MeshTopology`'s
+``hops``/``xy_path`` stay the independent truth the tables are tested
+against.
 """
 
 from __future__ import annotations
@@ -53,14 +50,15 @@ import numpy as np
 
 from repro.noc.topology import Link, MeshTopology
 
-#: Environment switch selecting the unbatched, uncached reference
-#: engine.  Read at use time (not import time) so tests can flip it
-#: per run; empty and "0" mean "off".
+#: Environment switch selecting the engine's record-at-a-time reference
+#: drive loop (see :mod:`repro.sim.engine`); it does not affect routing.
+#: Read at use time (not import time) so tests can flip it per run;
+#: empty and "0" mean "off".
 REFERENCE_ENV = "REPRO_REFERENCE_ENGINE"
 
 
 def reference_mode() -> bool:
-    """True when the reference (unbatched, uncached) engine is forced."""
+    """True when the reference drive loop is forced."""
     return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
 
 

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 from repro.faults.routing import UnreachableError
 from repro.noc.mesh import Traversal
 from repro.noc.occupancy import LinkLayout, LinkOccupancy
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
 
@@ -39,15 +40,14 @@ class SmartNetwork:
         #: skips building the kwargs for a no-op sink call.
         self._event = sink.event if sink.enabled else None
         self.faults = faults  # Optional[FaultInjector]
-        self.routes = routes  # Optional[RouteCache]
+        routes = routes or shared_route_cache(topology.num_tiles)
+        self.routes = routes
         if faults is not None and faults.router.dead:
-            # Dead links invalidate the fault-free route cache: every
+            # Dead links invalidate the fault-free route tables: every
             # send routes through the FaultAwareRouter instead.
             self._route = self._fault_route
-        elif routes is not None:
-            self._route = routes.path
         else:
-            self._route = topology.xy_path
+            self._route = routes.path
         #: cycle -> bitmask of link ids carrying a flit (per-cycle
         #: occupancy; see the reservation note in repro.core.nocstar).
         self._layout = LinkLayout(topology)

@@ -1,19 +1,9 @@
 """System simulator: configs, engine, machine model, run harness.
 
-The run-harness entry points historically re-exported here
-(``simulate`` / ``compare`` / ``run_suite``) are deprecated at this
-package level: :mod:`repro.api` is their supported home.  They remain
-importable — via a lazy module ``__getattr__`` that emits a
-:class:`DeprecationWarning` — so existing scripts keep working through
-a deprecation cycle, but new code should write::
-
-    from repro import api
-
-    api.compare(...)          # not: from repro.sim import compare
+The run-harness entry points (``simulate`` / ``compare`` /
+``run_suite``) live on :mod:`repro.api` (or in their defining modules,
+:mod:`repro.sim.engine` and :mod:`repro.sim.run`), not here.
 """
-
-import importlib
-import warnings
 
 from repro.sim.configs import (
     SystemConfig,
@@ -42,33 +32,6 @@ from repro.sim.run import (
 from repro.sim.scenario import RunUnit, Scenario
 from repro.sim.system import System
 
-#: Harness names kept importable for backward compatibility but no
-#: longer eagerly bound: attribute access goes through ``__getattr__``
-#: below, which warns and forwards to the defining module.  The deep
-#: modules themselves (``repro.sim.engine.simulate``,
-#: ``repro.sim.run.compare``) stay warning-free — the deprecation is
-#: about the *package-level* alias, whose supported home is
-#: ``repro.api``.
-_DEPRECATED_HARNESS = {
-    "simulate": "repro.sim.engine",
-    "compare": "repro.sim.run",
-    "run_suite": "repro.sim.run",
-}
-
-
-def __getattr__(name):
-    home = _DEPRECATED_HARNESS.get(name)
-    if home is not None:
-        warnings.warn(
-            f"importing {name!r} from 'repro.sim' is deprecated; "
-            f"use 'repro.api.{name}' (the stable facade) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(home), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "SystemConfig",
     "available_configs",
@@ -84,13 +47,10 @@ __all__ = [
     "ENGINE_VERSION",
     "ShootdownTraffic",
     "StormConfig",
-    "simulate",
     "RunResult",
     "geometric_mean",
     "Comparison",
     "SpeedupSummary",
-    "compare",
-    "run_suite",
     "summarize_speedups",
     "RunUnit",
     "Scenario",

@@ -151,7 +151,7 @@ class _CoreState:
 
 def simulate(
     config: cfg.SystemConfig,
-    workload: Optional[Workload] = None,
+    workload: Workload,
     quantum: int = DEFAULT_QUANTUM,
     storm: Optional[StormConfig] = None,
     shootdown: Optional[ShootdownTraffic] = None,
@@ -163,11 +163,9 @@ def simulate(
 ) -> RunResult:
     """Run ``workload`` on a machine built from ``config``.
 
-    Also accepts a single-config, single-workload
-    :class:`~repro.sim.scenario.Scenario` as the only argument; the
-    scenario's own storm/shootdown/quantum fields then apply.  The
-    ``(config, workload)`` form is the low-level primitive operating on
-    an already-built trace.
+    The low-level primitive operating on an already-built trace; a
+    :class:`~repro.sim.scenario.Scenario` runs through its units
+    (:meth:`~repro.sim.scenario.RunUnit.execute`) or a Runner.
 
     ``metrics`` attaches a :class:`~repro.obs.MetricsSink` and returns
     a snapshot in ``RunResult.metrics``; ``trace`` (implies metrics)
@@ -182,51 +180,10 @@ def simulate(
     time ever exceeds it — the no-hang backstop for fault experiments.
     """
     if not isinstance(config, cfg.SystemConfig):
-        from dataclasses import replace
-
-        from repro.sim.scenario import Scenario
-
-        if isinstance(config, Scenario):
-            if workload is not None:
-                raise TypeError(
-                    "pass either a Scenario or (config, workload), not both"
-                )
-            if faults is not None:
-                raise TypeError(
-                    "set faults on the Scenario itself, not on simulate()"
-                )
-            units = config.units()
-            if len(units) != 1:
-                raise ValueError(
-                    "simulate() takes a single-config, single-workload "
-                    "Scenario; use compare()/run_suite() for lineups"
-                )
-            unit = units[0]
-            if metrics or trace:
-                unit = replace(
-                    unit,
-                    metrics=unit.metrics or metrics,
-                    trace=unit.trace or trace,
-                )
-            if watchdog_cycles is None:
-                return unit.execute()
-            return simulate(
-                unit.config,
-                unit.build_workload(),
-                quantum=unit.quantum,
-                storm=unit.storm,
-                shootdown=unit.shootdown,
-                record_intervals=unit.record_intervals,
-                metrics=unit.metrics,
-                trace=unit.trace,
-                faults=unit.fault_plan(),
-                watchdog_cycles=watchdog_cycles,
-            )
         raise TypeError(
-            f"expected SystemConfig or Scenario, got {type(config).__name__}"
+            f"expected SystemConfig, got {type(config).__name__}; run a "
+            "Scenario with RunUnit.execute() or a Runner"
         )
-    if workload is None:
-        raise TypeError("simulate(config, workload) needs a workload")
     if workload.num_cores != config.num_cores:
         raise ValueError(
             f"workload has {workload.num_cores} cores, config expects "

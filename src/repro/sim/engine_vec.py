@@ -22,9 +22,9 @@ scalar path it replaces (the differential corpus runs all three):
 * :func:`make_lean_transaction` — an inlined mesh-distributed L2
   transaction for the un-observed fault-free common case, driving the
   *real* slice/port/walker state through flattened int tables (the
-  RouteCache's compact hop arrays, raw ``_PortSet`` cycle dicts, raw
-  per-set ``LruState`` OrderedDicts) with counters accumulated in bulk
-  and folded back at the end.  Any configuration outside its gate
+  System's shared RouteCache rows, raw ``_PortSet`` cycle dicts, raw
+  per-set ``LruState`` OrderedDicts) and the walker's own ``walk``,
+  with counters accumulated in bulk and folded back at the end.  Any configuration outside its gate
   (non-mesh interconnects, priority arbitration, non-LRU slices, QoS
   quotas, prefetch, faults, observability) falls through to the
   ordinary ``System.l2_transaction`` — correct for every config, just
@@ -302,7 +302,6 @@ def make_lean_transaction(
         or system.record_intervals
         or system.timeline is not None
         or sink.enabled
-        or system.routes is None
     ):
         return None
 
@@ -325,7 +324,7 @@ def make_lean_transaction(
     make_set = shard0._state_cls  # materialises lazily-constructed sets
     visible = system._visible
     overlap_off = visible == 1.0
-    do_walk = system.walker.walk_cycles
+    do_walk = system.walker.walk
     from repro.sim.system import _SHIFT  # local: avoids a module cycle
 
     shifts = dict(_SHIFT)
@@ -379,7 +378,7 @@ def make_lean_transaction(
         totals[2] += 3  # request + miss reply + fill
         totals[3] += 3 * hops
         miss_reply = lookup_done + latency
-        # Inlined System._walk_at: latency-only walk plus the two-walker
+        # Inlined System._walk_at: the walk plus the two-walker
         # admit (ties pick walker 0, exactly WalkerQueue.admit's min).
         cycles = do_walk(
             core, asid, page_number << shifts[size], size, miss_reply

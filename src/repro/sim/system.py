@@ -32,7 +32,7 @@ from repro.mem.cache import CacheHierarchy
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import reference_mode, shared_route_cache
+from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_SINK
@@ -81,10 +81,10 @@ class System:
         n = config.num_cores
         self.topology = MeshTopology(n)
         #: Precomputed fault-free route/latency tables, shared across
-        #: systems of the same size.  None under the reference engine
-        #: (REPRO_REFERENCE_ENGINE=1), which recomputes routes live —
-        #: the differential harness proves both modes bit-identical.
-        self.routes = None if reference_mode() else shared_route_cache(n)
+        #: systems of the same size (and with every interconnect built
+        #: here): the single source of hop counts and uncontended
+        #: traversal times.
+        self.routes = shared_route_cache(n)
         #: Runtime fault state; None keeps every component on its exact
         #: fault-free code path (an empty plan is normalised to None by
         #: the engine, so rate-0 runs are bit-identical to plain runs).
@@ -179,16 +179,11 @@ class System:
         self._is_monolithic = scheme == cfg.MONOLITHIC
         self._is_nocstar = isinstance(self.network, NocstarInterconnect)
 
-        # Cached tables used by System itself (ideal-NOCSTAR timing and
+        # Tables used by System itself (ideal-NOCSTAR timing and
         # shootdown delivery both reduce to pure hop-count formulas).
-        self._hops_table = self.routes.hops if self.routes is not None else None
-        self._ideal_cycles = None
-        if (
-            scheme == cfg.NOCSTAR
-            and config.nocstar_ideal
-            and self.routes is not None
-        ):
-            self._ideal_cycles = self.routes.nocstar_cycles(
+        self._hops = self.routes.hops
+        if self._is_nocstar:
+            self._nocstar_cycles = self.routes.nocstar_cycles(
                 config.nocstar.hpc_max
             )
 
@@ -306,12 +301,8 @@ class System:
         # Request leg.
         if self._is_nocstar:
             if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[core][dst_tile]
-                    dur = self._ideal_cycles[core][dst_tile]
-                else:
-                    hops = self.topology.hops(core, dst_tile)
-                    dur = self.network.traversal_cycles(hops)
+                hops = self._hops[core][dst_tile]
+                dur = self._nocstar_cycles[core][dst_tile]
                 arrival = now + (1 + dur if hops else 0)
                 self.network.messages += 1
                 self.network.total_hops += hops
@@ -357,7 +348,7 @@ class System:
                 )
                 if walk_core != core and self.config.ptw_fixed is None:
                     self.pending_penalty[walk_core] += (
-                        self._last_pollution * POLLUTION_CYCLES_PER_FILL
+                        self.walker.last_pollution * POLLUTION_CYCLES_PER_FILL
                     )
                 shared.insert_page_number(asid, size, page_number)
                 shared.reserve_write(home, walk_done, self._klass_walk)
@@ -390,12 +381,8 @@ class System:
         """Send the response (or miss message) back to the requester."""
         if self._is_nocstar:
             if self.config.nocstar_ideal:
-                if self._ideal_cycles is not None:
-                    hops = self._hops_table[dst_tile][core]
-                    dur = self._ideal_cycles[dst_tile][core]
-                else:
-                    hops = self.topology.hops(dst_tile, core)
-                    dur = self.network.traversal_cycles(hops)
+                hops = self._hops[dst_tile][core]
+                dur = self._nocstar_cycles[dst_tile][core]
                 self.network.messages += 1
                 self.network.total_hops += hops
                 self.network.uncontended_messages += 1 if hops else 0
@@ -420,9 +407,9 @@ class System:
 
     def _async_fill(self, core: int, dst_tile: int, home: int, when: int) -> None:
         """Fire-and-forget insert message from requester back to the slice."""
-        if self._is_nocstar and not self.config.nocstar_ideal:
-            self.network.send(core, dst_tile, when)
-        elif self.network is not None:
+        if self.network is not None:
+            # Fills on the ideal NOCSTAR fabric still arbitrate for links
+            # (and can retry), unlike its request and response legs.
             self.network.send(core, dst_tile, when)
         self.shared_l2.reserve_write(home, when, self._klass_walk)
 
@@ -448,23 +435,20 @@ class System:
     def _async_prefetch_walk(
         self, core: int, asid: int, size: int, page_number: int, when: int
     ) -> None:
-        result = self.walker.walk(core, asid, page_number << _SHIFT[size], size, when)
-        latency = result.latency
+        latency = self.walker.walk(
+            core, asid, page_number << _SHIFT[size], size, when
+        )
         if self.faults is not None:
             latency = self.faults.walk_latency(latency)
         self.walker_queues[core].admit(when, latency)
-
-    _last_pollution = 0
 
     def _walk_at(
         self, core: int, asid: int, size: int, page_number: int, now: int
     ) -> int:
         """Queue and perform a page walk at ``core``'s hardware walker."""
         vpn = page_number << _SHIFT[size]
-        result = self.walker.walk(core, asid, vpn, size, now)
-        self._last_pollution = getattr(result, "pollution", 0)
+        latency = self.walker.walk(core, asid, vpn, size, now)
         self.stats.walks += 1
-        latency = result.latency
         if self.faults is not None:
             latency = self.faults.walk_latency(latency)
         return self.walker_queues[core].admit(now, latency)
@@ -561,9 +545,7 @@ class System:
         if self.faults is not None:
             arrival = self.faults.shootdown_send(src, dst, now)
             return now if arrival is None else arrival
-        if self._hops_table is not None:
-            return now + 2 * self._hops_table[src][dst] + 1
-        return now + 2 * self.topology.hops(src, dst) + 1
+        return now + 2 * self._hops[src][dst] + 1
 
     def flush_all_tlbs(self) -> None:
         """Full TLB flush (context-switch storms, §V)."""

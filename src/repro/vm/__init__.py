@@ -15,7 +15,6 @@ from repro.vm.superpage import SuperpagePolicy
 from repro.vm.walker import (
     FixedLatencyWalker,
     PageTableWalker,
-    WalkResult,
     WalkerQueue,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "SuperpagePolicy",
     "FixedLatencyWalker",
     "PageTableWalker",
-    "WalkResult",
     "WalkerQueue",
 ]

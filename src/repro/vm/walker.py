@@ -15,24 +15,12 @@ leaf PTE reference dominate walk latency, as observed in practice.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.mem.cache import CacheHierarchy
 from repro.obs import NULL_SINK
-from repro.vm.page_table import PageTable, PTE
-
-
-@dataclass
-class WalkResult:
-    """Outcome of one page-table walk."""
-
-    latency: int
-    pte: PTE
-    levels: Tuple[str, ...] = ()
-    #: References that missed the walking core's L1 (installed new lines
-    #: there) — a proxy for how much the walk polluted that core's cache.
-    pollution: int = 0
+from repro.vm.page_table import PageTable
 
 
 class _PageWalkCache:
@@ -78,6 +66,8 @@ class PageTableWalker:
         self.hierarchy = hierarchy
         self.pwcs = [_PageWalkCache(pwc_entries) for _ in range(num_cores)]
         self.walks = 0
+        #: Non-L1 references of the latest walk (see :meth:`walk`).
+        self.last_pollution = 0
         self.sink = sink
         self.level_hits: Dict[str, int] = {
             "pwc": 0, "l1": 0, "l2": 0, "llc": 0, "dram": 0,
@@ -85,59 +75,22 @@ class PageTableWalker:
 
     def walk(
         self, core: int, asid: int, vpn: int, page_size: int, now: int
-    ) -> WalkResult:
-        """Perform a serial walk at ``core``; returns latency and the PTE."""
-        addresses, pte = self.page_table.walk_info(asid, vpn, page_size)
-        pwc = self.pwcs[core]
-        level_hits = self.level_hits
-        access = self.hierarchy.access
-        latency = 0
-        pollution = 0
-        levels = []
-        last = len(addresses) - 1
-        for depth, addr in enumerate(addresses):
-            # Upper levels can hit the PWC; the leaf PTE never does.
-            if depth < last and pwc.lookup(addr):
-                latency += self.PWC_HIT_CYCLES
-                levels.append("pwc")
-                level_hits["pwc"] += 1
-                continue
-            level, cycles = access(core, addr, now + latency)
-            latency += cycles
-            levels.append(level)
-            level_hits[level] += 1
-            if level != "l1":
-                pollution += 1
-            if depth < last:
-                pwc.fill(addr)
-        self.walks += 1
-        if self.sink.enabled:
-            self.sink.observe("walk.latency", latency)
-            self.sink.event(now, "walk_begin", core=core, vpn=vpn)
-            self.sink.event(
-                now + latency, "walk_end", core=core, latency=latency
-            )
-        return WalkResult(
-            latency=latency, pte=pte, levels=tuple(levels), pollution=pollution
-        )
-
-    def walk_cycles(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
     ) -> int:
-        """:meth:`walk` minus the per-walk result object and trace.
+        """Perform a serial walk at ``core``; returns its latency.
 
-        Identical caching/counter side effects and latency; skips the
-        ``WalkResult``/levels-tuple construction, pollution tally, and
-        sink events.  For engine fast paths that run with observability
-        disabled and never read pollution (requester-side PTW only).
+        References that missed the walking core's L1 (installed new
+        lines there) are left in :attr:`last_pollution` — a proxy for
+        how much the walk polluted that core's cache.
         """
         addresses, _ = self.page_table.walk_info(asid, vpn, page_size)
         pwc = self.pwcs[core]
         level_hits = self.level_hits
         access = self.hierarchy.access
         latency = 0
+        pollution = 0
         last = len(addresses) - 1
         for depth, addr in enumerate(addresses):
+            # Upper levels can hit the PWC; the leaf PTE never does.
             if depth < last and pwc.lookup(addr):
                 latency += self.PWC_HIT_CYCLES
                 level_hits["pwc"] += 1
@@ -145,10 +98,23 @@ class PageTableWalker:
             level, cycles = access(core, addr, now + latency)
             latency += cycles
             level_hits[level] += 1
+            if level != "l1":
+                pollution += 1
             if depth < last:
                 pwc.fill(addr)
         self.walks += 1
+        self.last_pollution = pollution
+        if self.sink.enabled:
+            self.sink.observe("walk.latency", latency)
+            self.sink.event(now, "walk_begin", core=core, vpn=vpn)
+            self.sink.event(
+                now + latency, "walk_end", core=core, latency=latency
+            )
         return latency
+
+    #: Alias, not a wrapper: ``perfbench/tracing.py`` patches this name,
+    #: and a method calling :meth:`walk` would count every walk twice.
+    walk_cycles = walk
 
 
 class FixedLatencyWalker:
@@ -160,24 +126,13 @@ class FixedLatencyWalker:
         self.page_table = page_table
         self.latency = latency
         self.walks = 0
+        #: A fixed-latency walk touches no cache, so pollutes nothing.
+        self.last_pollution = 0
         self.sink = sink
 
     def walk(
         self, core: int, asid: int, vpn: int, page_size: int, now: int
-    ) -> WalkResult:
-        self.walks += 1
-        pte = self.page_table.lookup(asid, vpn, page_size)
-        self.sink.observe("walk.latency", self.latency)
-        self.sink.event(now, "walk_begin", core=core, vpn=vpn)
-        self.sink.event(
-            now + self.latency, "walk_end", core=core, latency=self.latency
-        )
-        return WalkResult(latency=self.latency, pte=pte, levels=("fixed",))
-
-    def walk_cycles(
-        self, core: int, asid: int, vpn: int, page_size: int, now: int
     ) -> int:
-        """Latency-only variant matching :meth:`PageTableWalker.walk_cycles`."""
         self.walks += 1
         self.page_table.lookup(asid, vpn, page_size)
         self.sink.observe("walk.latency", self.latency)
@@ -186,6 +141,9 @@ class FixedLatencyWalker:
             now + self.latency, "walk_end", core=core, latency=self.latency
         )
         return self.latency
+
+    #: See :attr:`PageTableWalker.walk_cycles`.
+    walk_cycles = walk
 
 
 @dataclass

@@ -95,18 +95,24 @@ def test_release_backfills_occupancy():
 
 
 def test_round_trip_api():
+    """Round-trip acquisition: the request holds its path, the response
+    rides it back without arbitrating, then the links are released."""
     ic = make(16, acquire=ROUND_TRIP)
-    ready, retries = ic.round_trip(0, 5, now=0, service_cycles=9)
+    request = ic.send(0, 5, now=0, hold=True)
     # setup(1) + traverse(1) + service(9) + return traverse(1)
+    ready = request.ready + 9 + request.traversal_cycles
+    ic.release(request.links, ready)
     assert ready == 12
-    assert retries == 0
+    assert request.setup_retries == 0
+    assert ic.send(0, 5, now=0).ready == 13  # held window backfilled
 
 
 def test_one_way_round_trip_api():
     ic = make(16)
-    ready, retries = ic.round_trip(0, 5, now=0, service_cycles=9)
-    assert ready == 12  # response setup speculative during the lookup
-    assert retries == 0
+    request = ic.send(0, 5, now=0)
+    response = ic.send(5, 0, request.ready + 9, speculative_setup=True)
+    assert response.ready == 12  # response setup speculative during the lookup
+    assert request.setup_retries + response.setup_retries == 0
 
 
 def test_control_requests_counted_per_retry():
@@ -132,14 +138,6 @@ def test_statistics():
 def test_control_wires_formula():
     ic = make(64)  # 8x8
     assert ic.control_wires_per_core() == (8 - 1) + (8 - 1) * 8
-
-
-def test_reset_clears_state():
-    ic = make()
-    ic.send(0, 3, now=0)
-    ic.reset()
-    assert ic.messages == 0
-    assert ic.send(0, 3, now=0).setup_retries == 0
 
 
 @settings(max_examples=40)

@@ -111,17 +111,6 @@ def test_watchdog_trips_on_long_runs():
         simulate(config, workload, watchdog_cycles=10)
 
 
-def test_scenario_form_rejects_a_simulate_level_faults_argument():
-    scenario = Scenario(
-        configurations=cfg.nocstar(8),
-        workloads="gups",
-        accesses_per_core=200,
-        baseline_name="nocstar",
-    )
-    with pytest.raises(TypeError):
-        simulate(scenario, faults=FaultPlan(num_tiles=8))
-
-
 def test_scenario_faults_flow_through_the_watchdog_dispatch():
     spec = FaultSpec(links=LinkFailure(rate=0.1))
     scenario = Scenario(
@@ -132,7 +121,14 @@ def test_scenario_faults_flow_through_the_watchdog_dispatch():
         baseline_name="nocstar",
         faults=spec,
     )
-    via_watchdog = simulate(scenario, watchdog_cycles=WATCHDOG)
-    via_unit = scenario.units()[0].execute()
+    (unit,) = scenario.units()
+    via_watchdog = simulate(
+        unit.config,
+        unit.build_workload(),
+        quantum=unit.quantum,
+        faults=unit.fault_plan(),
+        watchdog_cycles=WATCHDOG,
+    )
+    via_unit = unit.execute()
     assert via_watchdog.as_dict() == via_unit.as_dict()
     assert via_watchdog.faults is not None

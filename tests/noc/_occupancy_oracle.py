@@ -8,7 +8,7 @@ data structures are deliberately different from
 per-cycle masks of links, link tuples rather than ids), so a shared bug
 is unlikely.
 
-* :class:`SetNocstarOracle` — ``_send_routed`` (with its retry jump),
+* :class:`SetNocstarOracle` — the table-driven ``send`` (with its retry jump),
   ``_path_free`` and ``release`` of the set-based NOCSTAR.
 * :class:`SetSmartOracle` — the set-based SMART ``send``.
 """

@@ -8,7 +8,6 @@ from repro.core.config import NocstarConfig
 from repro.core.nocstar import NocstarInterconnect
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.occupancy import LinkLayout, LinkOccupancy, link_ids
-from repro.noc.route_cache import shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
 
@@ -150,52 +149,39 @@ def nocstar_streams(draw):
     return tiles, hpc_max, ops
 
 
-def _nocstar_variants(tiles, hpc_max):
-    topo = MeshTopology(tiles)
-    config = NocstarConfig(hpc_max=hpc_max)
-    return (
-        NocstarInterconnect(topo, config),
-        NocstarInterconnect(topo, config, routes=shared_route_cache(tiles)),
-    )
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(nocstar_streams())
 def test_nocstar_matches_set_oracle(stream):
     tiles, hpc_max, ops = stream
-    oracle = SetNocstarOracle(MeshTopology(tiles), hpc_max)
-    live, routed = _nocstar_variants(tiles, hpc_max)
+    topo = MeshTopology(tiles)
+    oracle = SetNocstarOracle(topo, hpc_max)
+    network = NocstarInterconnect(topo, NocstarConfig(hpc_max=hpc_max))
     for src, dst, now, speculative, service in ops:
         hold = service > 0
         want = oracle.send(src, dst, now, speculative_setup=speculative,
                            hold=hold)
-        for network in (live, routed):
-            got = network.send(src, dst, now, speculative_setup=speculative,
-                               hold=hold)
-            assert (got.ready, got.setup_retries, got.hops,
-                    got.traversal_cycles) == (
-                want.ready, want.setup_retries, want.hops,
-                want.traversal_cycles)
-            assert got.links == want.links
+        got = network.send(src, dst, now, speculative_setup=speculative,
+                           hold=hold)
+        assert (got.ready, got.setup_retries, got.hops,
+                got.traversal_cycles) == (
+            want.ready, want.setup_retries, want.hops,
+            want.traversal_cycles)
+        assert got.links == want.links
         if hold:
             at = want.ready + service + want.traversal_cycles
             oracle.release(want.links, at)
-            for network in (live, routed):
-                network.release(want.links, at)
-    busy = oracle.link_busy_cycles()
-    for network in (live, routed):
-        assert network.link_busy_cycles() == busy
-        for name in ("messages", "local_messages", "total_hops",
-                     "total_setup_retries", "uncontended_messages",
-                     "control_requests"):
-            assert getattr(network, name) == getattr(oracle, name), name
+            network.release(want.links, at)
+    assert network.link_busy_cycles() == oracle.link_busy_cycles()
+    for name in ("messages", "local_messages", "total_hops",
+                 "total_setup_retries", "uncontended_messages",
+                 "control_requests"):
+        assert getattr(network, name) == getattr(oracle, name), name
 
 
-@pytest.mark.parametrize("routed", [False, True])
-def test_held_link_raises_like_the_oracle(routed):
+def test_held_link_raises_like_the_oracle():
     oracle = SetNocstarOracle(MeshTopology(16), 16)
-    network = _nocstar_variants(16, 16)[routed]
+    network = NocstarInterconnect(MeshTopology(16), NocstarConfig(hpc_max=16))
     for ic in (oracle, network):
         held = ic.send(0, 3, now=0, hold=True)
         ic.send(4, 7, now=0)  # disjoint: fine while (0, 3) is held
@@ -229,23 +215,17 @@ def test_smart_matches_set_oracle(stream):
     tiles, hpc_max, ops = stream
     topo = MeshTopology(tiles)
     oracle = SetSmartOracle(topo, hpc_max)
-    networks = (
-        SmartNetwork(topo, hpc_max=hpc_max),
-        SmartNetwork(topo, hpc_max=hpc_max, routes=shared_route_cache(tiles)),
-    )
+    network = SmartNetwork(topo, hpc_max=hpc_max)
     for src, dst, now in ops:
         stops = oracle.premature_stops
         want = oracle.send(src, dst, now)
-        for network in networks:
-            before = network.premature_stops
-            got = network.send(src, dst, now)
-            assert (got.arrival, got.hops, got.queue_cycles) == tuple(want)
-            assert (network.premature_stops - before
-                    == oracle.premature_stops - stops)
-    busy = oracle.link_busy_cycles()
-    for network in networks:
-        assert network.link_busy_cycles() == busy
-        assert network.total_queue_cycles == oracle.total_queue_cycles
+        before = network.premature_stops
+        got = network.send(src, dst, now)
+        assert (got.arrival, got.hops, got.queue_cycles) == tuple(want)
+        assert (network.premature_stops - before
+                == oracle.premature_stops - stops)
+    assert network.link_busy_cycles() == oracle.link_busy_cycles()
+    assert network.total_queue_cycles == oracle.total_queue_cycles
 
 
 def test_fbfly_first_fit_over_express_links():

@@ -1,11 +1,15 @@
 """Property tests for the precomputed RouteCache tables.
 
 The cache claims its tables are pure functions of the topology — every
-entry must agree with what the live models compute per send, and any
-injected link failure must bypass the cache entirely (the fault-aware
-router wins the construction-time dispatch).
+entry, and every table-driven send, must agree with what
+:class:`MeshTopology` computes live (``hops``/``xy_path``) and with the
+set-based arbitration oracles; any injected link failure must bypass
+the cache entirely (the fault-aware router wins the construction-time
+dispatch).  Every System and every interconnect shares one cache per
+tile count.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import NocstarConfig
@@ -14,9 +18,14 @@ from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
 from repro.faults.routing import FaultAwareRouter
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import RouteCache, shared_route_cache
+from repro.noc.route_cache import REFERENCE_ENV, RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
+from repro.obs import MetricsSink
+from repro.sim import configs as cfg
+from repro.sim.system import System
+
+from tests.noc._occupancy_oracle import SetNocstarOracle, SetSmartOracle
 
 tile_counts = st.integers(min_value=2, max_value=64)
 
@@ -43,37 +52,46 @@ def test_cached_hops_and_paths_match_topology(n, data):
 
 @settings(max_examples=30)
 @given(tile_counts, st.integers(min_value=1, max_value=6), st.data())
-def test_cached_mesh_send_equals_live_mesh_send(n, cycles_per_hop, data):
+def test_cached_mesh_send_equals_live_mesh_send(n, router_cycles, data):
+    """The table-driven send equals ``hops * (tr + tw)`` computed live
+    from the topology; the observed send walks the live XY path."""
     topo = MeshTopology(n)
     cache = RouteCache(topo)
-    live = ContentionFreeMesh(
-        topo, router_cycles=cycles_per_hop - 1 or 1, wire_cycles=1
+    mesh = ContentionFreeMesh(topo, router_cycles=router_cycles, routes=cache)
+    assert mesh.send.__func__ is ContentionFreeMesh.send
+    observed = ContentionFreeMesh(
+        topo, router_cycles=router_cycles, sink=MetricsSink(), routes=cache
     )
-    cached = ContentionFreeMesh(
-        topo,
-        router_cycles=live.router_cycles,
-        wire_cycles=live.wire_cycles,
-        routes=cache,
-    )
-    assert cached.send.__func__ is ContentionFreeMesh._send_cached
+    assert observed.send.__func__ is ContentionFreeMesh._send_path
     src, dst = _pair(data, n)
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    assert cached.send(src, dst, now) == live.send(src, dst, now)
-    table = cache.mesh_latency(live.cycles_per_hop)
-    assert table[src][dst] == cache.hops[src][dst] * live.cycles_per_hop
+    hops = topo.hops(src, dst)
+    cycles_per_hop = router_cycles + 1
+    got = mesh.send(src, dst, now)
+    assert (got.arrival, got.hops, got.links) == (
+        now + hops * cycles_per_hop, hops, ()
+    )
+    path = tuple(topo.xy_path(src, dst))
+    assert observed.send(src, dst, now) == got._replace(links=path)
+    assert observed.link_traversals == {link: 1 for link in path}
+    table = cache.mesh_latency(cycles_per_hop)
+    assert table[src][dst] == hops * cycles_per_hop
 
 
 @settings(max_examples=30)
-@given(tile_counts, st.data())
-def test_cached_smart_send_equals_live_smart_send(n, data):
+@given(tile_counts, st.integers(min_value=1, max_value=8), st.data())
+def test_cached_smart_send_equals_live_smart_send(n, hpc_max, data):
+    """One uncontended send per fresh network: the only difference from
+    the set oracle (live ``xy_path`` routes) could be the route source."""
     topo = MeshTopology(n)
     src, dst = _pair(data, n)
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    # Fresh networks per draw: one uncontended send each, so the only
-    # difference can come from the route source.
-    live = SmartNetwork(topo).send(src, dst, now)
-    cached = SmartNetwork(topo, routes=RouteCache(topo)).send(src, dst, now)
-    assert cached == live
+    smart = SmartNetwork(topo, hpc_max=hpc_max, routes=RouteCache(topo))
+    got = smart.send(src, dst, now)
+    assert tuple(got[:3]) == tuple(
+        SetSmartOracle(topo, hpc_max).send(src, dst, now)
+    )
+    assert got.links == tuple(topo.xy_path(src, dst))
 
 
 @settings(max_examples=30)
@@ -84,13 +102,19 @@ def test_cached_nocstar_send_equals_live_nocstar_send(n, hpc_max, data):
     cache = RouteCache(topo)
     src, dst = _pair(data, n)
     now = data.draw(st.integers(min_value=0, max_value=10_000), label="now")
-    live = NocstarInterconnect(topo, config=config)
-    routed = NocstarInterconnect(topo, config=config, routes=cache)
-    assert routed.send.__func__ is NocstarInterconnect._send_routed
-    assert routed.send(src, dst, now) == live.send(src, dst, now)
-    # The derived cycle table is exactly the live ceil-division.
+    nocstar = NocstarInterconnect(topo, config=config, routes=cache)
+    assert nocstar.send.__func__ is NocstarInterconnect.send
+    got = nocstar.send(src, dst, now)
+    want = SetNocstarOracle(topo, hpc_max).send(src, dst, now)
+    assert (got.ready, got.hops, got.setup_retries, got.traversal_cycles,
+            got.links) == tuple(want)
+    # The derived cycle table is exactly the ceil-division of the
+    # topology's hop count.
+    hops = topo.hops(src, dst)
     table = cache.nocstar_cycles(hpc_max)
-    assert table[src][dst] == live.traversal_cycles(cache.hops[src][dst])
+    assert table[src][dst] == -(-hops // hpc_max) == nocstar.traversal_cycles(
+        hops
+    )
 
 
 @settings(max_examples=25)
@@ -108,7 +132,8 @@ def test_dead_links_bypass_the_cache(n, data):
     router = FaultAwareRouter(topo, [link])
 
     mesh = ContentionFreeMesh(topo, faults=faults, routes=cache)
-    assert mesh.send.__func__ is ContentionFreeMesh._send_fault_routed
+    assert mesh.send.__func__ is ContentionFreeMesh._send_path
+    assert mesh._route.__func__ is ContentionFreeMesh._fault_route
     smart = SmartNetwork(topo, faults=faults, routes=cache)
     assert smart._route.__func__ is SmartNetwork._fault_route
     nocstar = NocstarInterconnect(topo, faults=faults, routes=cache)
@@ -134,3 +159,26 @@ def test_shared_route_cache_is_per_size_singleton():
     assert a is b
     assert a is not c
     assert a.num_tiles == 16 and c.num_tiles == 32
+
+
+def test_networks_default_to_the_shared_cache():
+    topo = MeshTopology(16)
+    shared = shared_route_cache(16)
+    assert ContentionFreeMesh(topo).routes is shared
+    assert SmartNetwork(topo).routes is shared
+    assert NocstarInterconnect(topo).routes is shared
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_system_routes_are_the_shared_cache(reference, monkeypatch):
+    """The reference engine switch selects only the drive loop: the
+    System and its interconnect read the same shared tables either way."""
+    if reference:
+        monkeypatch.setenv(REFERENCE_ENV, "1")
+    else:
+        monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    for config in (cfg.nocstar(16), cfg.distributed(16),
+                   cfg.monolithic(16, noc=cfg.SMART)):
+        system = System(config)
+        assert system.routes is shared_route_cache(16)
+        assert system.network.routes is system.routes

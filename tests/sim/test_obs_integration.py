@@ -5,6 +5,8 @@ The overhead contract (ISSUE satellite): a metrics-disabled run must be
 ``trace`` None — and an observed run must not perturb timing.
 """
 
+from dataclasses import replace
+
 from repro.sim import configs as cfg
 from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
 from repro.sim.scenario import Scenario
@@ -111,7 +113,8 @@ def test_scenario_flags_flow_to_results():
         metrics=True,
         trace=True,
     )
-    result = simulate(scenario)
+    (unit,) = scenario.units()
+    result = unit.execute()
     assert result.metrics is not None
     assert result.trace
     d = result.as_dict()
@@ -119,7 +122,7 @@ def test_scenario_flags_flow_to_results():
     assert d["trace"] == result.trace
 
 
-def test_simulate_scenario_accepts_obs_overrides():
+def test_unit_accepts_obs_overrides():
     scenario = Scenario(
         configurations=cfg.nocstar(4),
         workloads="gups",
@@ -127,6 +130,7 @@ def test_simulate_scenario_accepts_obs_overrides():
         seed=3,
         baseline_name="nocstar",
     )
-    result = simulate(scenario, metrics=True)
+    (unit,) = scenario.units()
+    result = replace(unit, metrics=True).execute()
     assert result.metrics is not None
     assert result.trace is None

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.exec.runner import Runner
 from repro.sim import configs as cfg
-from repro.sim.run import compare, run_suite, summarize_speedups
+from repro.sim.run import run_suite, summarize_speedups
+from repro.sim.scenario import Scenario
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
 
@@ -13,7 +15,9 @@ def comparison():
     wl = build_multithreaded(
         get_workload("olio"), 4, accesses_per_core=2000, seed=3
     )
-    return compare(wl, [cfg.private(4), cfg.nocstar(4), cfg.ideal(4)])
+    return Runner().run_prebuilt(
+        wl, [cfg.private(4), cfg.nocstar(4), cfg.ideal(4)]
+    )
 
 
 def test_speedups_exclude_baseline(comparison):
@@ -26,7 +30,7 @@ def test_baseline_required():
         get_workload("olio"), 4, accesses_per_core=200, seed=3
     )
     with pytest.raises(ValueError):
-        compare(wl, [cfg.nocstar(4)])
+        Runner().run_prebuilt(wl, [cfg.nocstar(4)])
 
 
 def test_misses_eliminated_positive(comparison):
@@ -35,10 +39,11 @@ def test_misses_eliminated_positive(comparison):
 
 def test_run_suite_subset():
     comparisons = run_suite(
-        [cfg.private(4), cfg.nocstar(4)],
-        num_cores=4,
-        workload_names=["olio", "gups"],
-        accesses_per_core=1000,
+        Scenario(
+            configurations=[cfg.private(4), cfg.nocstar(4)],
+            workloads=["olio", "gups"],
+            accesses_per_core=1000,
+        )
     )
     assert set(comparisons) == {"olio", "gups"}
     for c in comparisons.values():
@@ -47,10 +52,11 @@ def test_run_suite_subset():
 
 def test_summarize_speedups():
     comparisons = run_suite(
-        [cfg.private(4), cfg.nocstar(4)],
-        num_cores=4,
-        workload_names=["olio", "gups", "nutch"],
-        accesses_per_core=1000,
+        Scenario(
+            configurations=[cfg.private(4), cfg.nocstar(4)],
+            workloads=["olio", "gups", "nutch"],
+            accesses_per_core=1000,
+        )
     )
     summary = summarize_speedups(comparisons, "nocstar")
     assert summary.minimum <= summary.average <= summary.maximum

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import configs as cfg
 from repro.sim.engine import StormConfig, simulate
-from repro.sim.run import compare, run_suite
+from repro.sim.run import compare
 from repro.sim.scenario import Scenario
 from repro.workloads.generators import build_multithreaded
 from repro.workloads.registry import get_workload
@@ -79,14 +79,15 @@ def test_for_workload_narrows():
     assert narrowed.configurations == scenario.configurations
 
 
-def test_simulate_accepts_scenario_and_matches_primitive():
+def test_unit_execute_matches_primitive():
     scenario = Scenario(
         configurations=cfg.nocstar(4),
         workloads="olio",
         accesses_per_core=600,
         seed=5,
     )
-    via_scenario = simulate(scenario)
+    (unit,) = scenario.units()
+    via_scenario = unit.execute()
     workload = build_multithreaded(
         get_workload("olio"), 4, accesses_per_core=600, seed=5
     )
@@ -100,7 +101,7 @@ def test_simulate_rejects_lineup_scenarios():
         workloads="olio",
         accesses_per_core=200,
     )
-    with pytest.raises(ValueError, match="single-config"):
+    with pytest.raises(TypeError, match="workload"):
         simulate(scenario)
 
 
@@ -120,42 +121,3 @@ def test_compare_scenario_plus_configs_is_an_error():
     scenario = Scenario(configurations=cfg.private(4), workloads="olio")
     with pytest.raises(TypeError):
         compare(scenario, [cfg.private(4)])
-
-
-def test_run_suite_scenario_matches_deprecated_form():
-    lineup = (cfg.private(4), cfg.nocstar(4))
-    scenario = Scenario(
-        configurations=lineup,
-        workloads=("olio", "gups"),
-        accesses_per_core=400,
-        seed=2,
-    )
-    new_style = run_suite(scenario)
-    with pytest.deprecated_call():
-        old_style = run_suite(
-            lineup,
-            num_cores=4,
-            workload_names=["olio", "gups"],
-            accesses_per_core=400,
-            seed=2,
-        )
-    assert set(new_style) == set(old_style) == {"olio", "gups"}
-    for name in new_style:
-        assert new_style[name].results == old_style[name].results
-
-
-def test_run_suite_num_cores_mismatch_rejected():
-    scenario = Scenario(
-        configurations=cfg.private(4), workloads="olio", accesses_per_core=100
-    )
-    with pytest.raises(ValueError, match="disagrees"):
-        run_suite(scenario, num_cores=8)
-
-
-def test_deprecated_compare_still_works():
-    workload = build_multithreaded(
-        get_workload("olio"), 4, accesses_per_core=300, seed=3
-    )
-    with pytest.deprecated_call():
-        comparison = compare(workload, [cfg.private(4), cfg.nocstar(4)])
-    assert comparison.speedup("nocstar") > 0

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade contract and the legacy deprecation shim."""
+"""The ``repro.api`` facade contract."""
 
 import warnings
 
@@ -27,22 +27,6 @@ def test_serve_surface_on_facade():
         assert name in api.__all__
 
 
-@pytest.mark.parametrize("name", ["simulate", "compare", "run_suite"])
-def test_legacy_sim_imports_warn(name):
-    import repro.sim
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = getattr(repro.sim, name)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "repro.api" in str(w.message)
-        for w in caught
-    )
-    # The shim forwards to the same object the facade exports.
-    assert legacy is getattr(api, name)
-
-
 def test_deep_module_imports_stay_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -56,3 +40,7 @@ def test_unknown_sim_attribute_raises():
 
     with pytest.raises(AttributeError):
         repro.sim.hyperdrive
+    # The 1.x package-level harness aliases were removed in 2.0.0.
+    for name in ("simulate", "compare", "run_suite"):
+        with pytest.raises(AttributeError):
+            getattr(repro.sim, name)

@@ -1,6 +1,6 @@
 """Calibration sweep: per-workload metrics vs the paper's targets."""
 import sys, time
-from repro.api import private, nocstar, monolithic, distributed, ideal, nocstar_ideal, compare
+from repro.api import Runner, private, nocstar, monolithic, distributed, ideal, nocstar_ideal
 from repro.workloads import build_multithreaded, get_workload, WORKLOAD_NAMES
 
 cores = int(sys.argv[1]) if len(sys.argv) > 1 else 16
@@ -13,7 +13,7 @@ print(f"{'workload':15s} {'l1mr':>5s} {'pl2mr':>6s} {'elim%':>6s} {'mono':>6s} {
 t0 = time.time()
 for name in names:
     wl = build_multithreaded(get_workload(name), cores, accesses_per_core=acc, seed=11, superpages=sp)
-    cmp = compare(wl, [private(cores), monolithic(cores), distributed(cores), nocstar(cores), nocstar_ideal(cores), ideal(cores)])
+    cmp = Runner().run_prebuilt(wl, [private(cores), monolithic(cores), distributed(cores), nocstar(cores), nocstar_ideal(cores), ideal(cores)])
     p = cmp.results['private']
     s = cmp.speedups()
     # avg walk latency proxy from private walk levels
