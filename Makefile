@@ -6,7 +6,8 @@ CACHE_DIR ?= .repro-cache
 
 .PHONY: install test smoke report-smoke faults-smoke bench-engine-smoke \
         bench-sweep-smoke bench-scale-smoke serve-smoke bench-serve-smoke \
-        bench-regression experiments-smoke policy-smoke verify bench \
+        bench-regression experiments-smoke policy-smoke perfbench-selftest \
+        verify bench \
         bench-full bench-faults examples calibrate cache-clean clean
 
 install:
@@ -91,14 +92,20 @@ policy-smoke:
 	$(RUN) -m repro experiments run policy_zoo --scale smoke --check \
 		--jobs 2 --cache-dir $(CACHE_DIR)
 
-# The full local gate: tests plus the parallel, observability,
+# Repo benchmark self-tests: perfbench's pins and the tracer patch
+# points it wraps (Runner._dispatch, TraceStore.ensure, engine.simulate).
+perfbench-selftest:
+	$(RUN) -m pytest perfbench
+
+# The full local gate: tests and the repo benchmark self-tests (the
+# same gate CI runs), plus the parallel, observability,
 # fault-injection, engine fast-path, sweep data-plane, mega-mesh
 # scale, serving, experiment-campaign, and policy-zoo smokes, then the
 # benchmark regression gate over the artefacts the bench smokes just
 # regenerated.
-verify: test smoke report-smoke faults-smoke bench-engine-smoke \
-        bench-sweep-smoke bench-scale-smoke serve-smoke bench-serve-smoke \
-        experiments-smoke policy-smoke bench-regression
+verify: test perfbench-selftest smoke report-smoke faults-smoke \
+        bench-engine-smoke bench-sweep-smoke bench-scale-smoke serve-smoke \
+        bench-serve-smoke experiments-smoke policy-smoke bench-regression
 
 bench:
 	$(RUN) -m pytest benchmarks/ --benchmark-only

@@ -90,13 +90,14 @@ DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 
 
 def _build_configs(
-    names: Sequence[str], cores: int, policy: Optional[str] = None
+    names: Sequence[str], args: argparse.Namespace
 ) -> List[cfg.SystemConfig]:
-    overrides = {} if policy is None else {"policy": policy}
+    """The named configs at ``args.cores`` under the ``--policy`` override."""
+    overrides = _policy_overrides(args)
     configs = []
     for name in names:
         try:
-            configs.append(cfg.build_config(name, cores, **overrides))
+            configs.append(cfg.build_config(name, args.cores, **overrides))
         except KeyError:
             known = ", ".join(cfg.available_configs())
             raise SystemExit(f"unknown config {name!r}; known: {known}")
@@ -171,16 +172,23 @@ def _obs_flags(args: argparse.Namespace) -> tuple:
     return (args.metrics or trace, trace)
 
 
-def _emit_obs(args: argparse.Namespace, comparisons) -> None:
-    """Write --trace-out and/or print the --metrics report."""
-    metrics, _ = _obs_flags(args)
-    if not metrics:
-        return
-    labelled = [
+def _labelled(comparisons) -> list:
+    """``(config, workload, result)`` triples of every comparison."""
+    return [
         (config_name, comparison.workload_name, result)
         for comparison in comparisons
         for config_name, result in comparison.results.items()
     ]
+
+
+def _emit_obs(args: argparse.Namespace, labelled) -> None:
+    """Write --trace-out and/or print the --metrics report.
+
+    ``labelled`` holds ``(config, workload, result)`` triples.
+    """
+    metrics, _ = _obs_flags(args)
+    if not metrics:
+        return
     if args.trace_out:
         lines = write_obs_jsonl(args.trace_out, labelled)
         print(
@@ -270,12 +278,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         if workload.num_cores != args.cores:
             args.cores = workload.num_cores
         lineup = runner.run_prebuilt(
-            workload, _build_configs(names, args.cores, args.policy),
+            workload, _build_configs(names, args),
             metrics=metrics, trace=trace,
         )
     else:
         scenario = Scenario(
-            configurations=_build_configs(names, args.cores, args.policy),
+            configurations=_build_configs(names, args),
             workloads=args.workload,
             accesses_per_core=args.accesses,
             seed=args.seed,
@@ -287,7 +295,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         lineup = runner.run_one(scenario)
     _print_speedup_table(lineup)
     _print_fault_summaries([lineup])
-    _emit_obs(args, [lineup])
+    _emit_obs(args, _labelled([lineup]))
     _export_spans(args, tracer)
     _report_cache(runner)
     return 0
@@ -328,7 +336,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(render_table(["workload"] + config_names, rows))
     _print_fault_summaries([comparisons[name] for name in names])
-    _emit_obs(args, [comparisons[name] for name in names])
+    _emit_obs(args, _labelled(comparisons[name] for name in names))
     _export_spans(args, tracer)
     _report_cache(runner)
     return 0
@@ -372,7 +380,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         raise SystemExit("fault rates must be in [0, 1]")
     if rates[0] != 0.0:
         rates.insert(0, 0.0)  # the fault-free anchor of the curve
-    config = _build_configs([args.config], args.cores, args.policy)[0]
+    config = _build_configs([args.config], args)[0]
     tracer = _tracer_from(args)
     runner = _runner_from(args, tracer)
     metrics, trace = _obs_flags(args)
@@ -460,18 +468,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"[faults] wrote {len(points)} point(s) to {args.out}",
               file=sys.stderr)
-    if metrics:
-        from repro.obs.report import event_records_from, run_records_from
-
-        if args.trace_out:
-            lines = write_obs_jsonl(args.trace_out, labelled)
-            print(
-                f"[obs] wrote {lines} record(s) to {args.trace_out}",
-                file=sys.stderr,
-            )
-        print()
-        print(render_report(run_records_from(labelled),
-                            event_records_from(labelled)))
+    _emit_obs(args, labelled)
     _export_spans(args, tracer)
     runner.stats = cache_totals
     _report_cache(runner)
@@ -710,7 +707,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     comparison = Comparison(result.workload, result.results, result.baseline)
     _print_speedup_table(comparison)
     _print_fault_summaries([comparison])
-    _emit_obs(args, [comparison])
+    _emit_obs(args, _labelled([comparison]))
     print(
         f"[serve] job {job_id}: queued {status.queued_s:.3f}s, "
         f"ran {status.run_s:.3f}s, {status.units_cached}/"

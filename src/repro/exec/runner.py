@@ -1,7 +1,11 @@
 """Parallel experiment runner with content-addressed result caching.
 
 The :class:`Runner` executes the independent :class:`RunUnit` grains of
-a :class:`~repro.sim.scenario.Scenario`:
+a :class:`~repro.sim.scenario.Scenario`.  An already-built workload run
+through a lineup (:meth:`Runner.run_prebuilt`) becomes one private
+``_PrebuiltUnit`` per configuration and takes the same pipeline; every
+unit, in a Runner pool or a serving worker, runs through the one worker
+body :func:`execute_unit`.  The pipeline provides:
 
 * **fan-out** — with ``jobs=N`` the units are mapped over a
   ``multiprocessing`` pool (``jobs=1`` is a pure in-process serial
@@ -19,8 +23,8 @@ a :class:`~repro.sim.scenario.Scenario`:
   :class:`~repro.exec.trace_store.TraceStore` is warm from an earlier
   sweep or session;
 * **cost-aware scheduling** — each task's cost is estimated from
-  ``num_cores × trace_length × scheme factor`` (factors calibrated from
-  Runner telemetry) and tasks are dispatched longest-first over
+  ``num_cores × records per core × scheme factor`` (factors calibrated
+  from Runner telemetry) and tasks are dispatched longest-first over
   ``imap_unordered``, so a straggler starts first instead of last and
   the pool drains evenly.  Results are reassembled in submission order,
   so scheduling is invisible to callers;
@@ -40,6 +44,7 @@ import json
 import multiprocessing
 import os
 import time
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exec.cache import (
@@ -56,7 +61,6 @@ from repro.sim.engine import (
     ENGINE_VERSION,
     ShootdownTraffic,
     StormConfig,
-    simulate,
 )
 from repro.sim.results import RunResult
 from repro.sim.run import Comparison
@@ -95,30 +99,50 @@ _REFERENCE_LOOP_COST = 2.0
 class _Task(NamedTuple):
     """One schedulable simulation, self-contained for a pool worker.
 
-    Exactly one of ``unit`` / ``prebuilt`` is set.  ``artifact`` (when
-    not ``None``) points at a packed trace to attach in place of
-    building — for prebuilt tasks it also replaces the pickled
-    workload, which is the zero-copy half of the data plane.
+    ``artifact`` (when not ``None``) points at a packed trace to attach
+    in place of building — for a prebuilt cell it also replaces the
+    pickled workload, which is the zero-copy half of the data plane.
     """
 
     index: int
     cost: float
-    unit: Optional[RunUnit]
+    unit: RunUnit
     artifact: Optional[str]
-    prebuilt: Optional[tuple]
 
 
-def _config_cost(
-    config: cfg.SystemConfig,
-    trace_length: int,
-    storm: Optional[StormConfig],
-    shootdown: Optional[ShootdownTraffic],
-) -> float:
-    cost = float(config.num_cores) * trace_length
-    cost *= _SCHEME_COST.get(config.scheme, 1.0)
-    if storm is not None or shootdown is not None:
-        cost *= _REFERENCE_LOOP_COST
-    return cost
+@dataclass(frozen=True)
+class _PrebuiltUnit(RunUnit):
+    """One lineup cell over an already-built workload.
+
+    Loaded ``.npz`` traces and multiprogrammed mixes have no spec to
+    rebuild from, so ``workload`` holds the built :class:`Workload`
+    itself (``None`` in a task whose trace-store artifact replaces it),
+    ``accesses_per_core`` its records per core (all SMT streams, so
+    :func:`unit_cost` weighs it like the generated twin) and ``seed``
+    its seed.  The cache key hashes the records via ``fingerprint``;
+    the payload layout is pinned so cache entries written by earlier
+    versions still hit.
+    """
+
+    fingerprint: Optional[str] = None
+
+    def cache_payload(self) -> Dict[str, object]:
+        return {
+            "workload_fingerprint": self.fingerprint,
+            "config": canonicalize(self.config),
+            "storm": canonicalize(self.storm),
+            "shootdown": canonicalize(self.shootdown),
+            "record_intervals": self.record_intervals,
+            "quantum": self.quantum,
+            "metrics": self.metrics,
+            "trace": self.trace,
+        }
+
+    def build_signature(self) -> Tuple:
+        return ("prebuilt", self.fingerprint)
+
+    def build_workload(self) -> Workload:
+        return self.workload
 
 
 def unit_cost(unit: RunUnit) -> float:
@@ -128,79 +152,40 @@ def unit_cost(unit: RunUnit) -> float:
     tier's admission queue, so both layers order work by the same
     calibrated model.
     """
-    return _config_cost(
-        unit.config,
-        unit.accesses_per_core * unit.smt,
-        unit.storm,
-        unit.shootdown,
-    )
-
-
-#: Backwards-compatible private alias (pre-serve name).
-_unit_cost = unit_cost
-
-
-def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
-    """Pool worker body: attach-or-build, then simulate; both timed.
-
-    Returns ``(index, result, build_s, sim_s)`` — the index rides along
-    because ``imap_unordered`` yields completions in finish order and
-    the parent reassembles by submission index.
-    """
-    start = time.perf_counter()
-    if task.unit is not None:
-        unit = task.unit
-        if task.artifact is not None:
-            workload = attach_workload(task.artifact)
-        else:
-            workload = unit.build_workload()
-        built = time.perf_counter()
-        result = simulate(
-            unit.config,
-            workload,
-            quantum=unit.quantum,
-            storm=unit.storm,
-            shootdown=unit.shootdown,
-            record_intervals=unit.record_intervals,
-            metrics=unit.metrics,
-            trace=unit.trace,
-            faults=unit.fault_plan(),
-        )
-    else:
-        (
-            config, workload, storm, shootdown, record_intervals, quantum,
-            metrics, trace,
-        ) = task.prebuilt
-        if task.artifact is not None:
-            workload = attach_workload(task.artifact)
-        built = time.perf_counter()
-        result = simulate(
-            config,
-            workload,
-            quantum=quantum,
-            storm=storm,
-            shootdown=shootdown,
-            record_intervals=record_intervals,
-            metrics=metrics,
-            trace=trace,
-        )
-    return task.index, result, built - start, time.perf_counter() - built
+    cost = float(unit.config.num_cores) * (unit.accesses_per_core * unit.smt)
+    cost *= _SCHEME_COST.get(unit.config.scheme, 1.0)
+    if unit.storm is not None or unit.shootdown is not None:
+        cost *= _REFERENCE_LOOP_COST
+    return cost
 
 
 def execute_unit(
     unit: RunUnit, artifact: Optional[str] = None
 ) -> Tuple[RunResult, float, float]:
-    """Execute one unit (attach-or-build) outside a Runner.
+    """Attach-or-build one unit's workload, then simulate; both timed.
 
-    The serving tier's pool workers call this; it funnels into the same
-    :func:`_execute_task` body the Runner dispatches, which is what
-    makes an HTTP-submitted unit byte-identical to a CLI run of the
-    same unit.  Returns ``(result, build_s, sim_s)``.
+    The one worker body: Runner pool workers and the serving tier's
+    pool workers both run it, which is what makes an HTTP-submitted
+    unit byte-identical to a CLI run of the same unit.  Returns
+    ``(result, build_s, sim_s)``.
     """
-    _, result, build_s, sim_s = _execute_task(
-        _Task(index=0, cost=0.0, unit=unit, artifact=artifact, prebuilt=None)
-    )
-    return result, build_s, sim_s
+    start = time.perf_counter()
+    if artifact is not None:
+        workload = attach_workload(artifact)
+    else:
+        workload = unit.build_workload()
+    built = time.perf_counter()
+    result = unit.execute(workload)
+    return result, built - start, time.perf_counter() - built
+
+
+def _execute_task(task: _Task) -> Tuple[int, RunResult, float, float]:
+    """Pool worker body: :func:`execute_unit` plus the task's index.
+
+    The index rides along because ``imap_unordered`` yields completions
+    in finish order and the parent reassembles by submission index.
+    """
+    return (task.index, *execute_unit(task.unit, task.artifact))
 
 
 class Runner:
@@ -331,7 +316,12 @@ class Runner:
                 # Hit wall_s = key computation + cache read, so warm-run
                 # telemetry reflects real lookup cost rather than 0.0.
                 start = time.perf_counter()
-                keys[i] = unit_key(unit, self.engine_version)
+                payload = (
+                    unit.cache_payload()
+                    if isinstance(unit, _PrebuiltUnit)
+                    else unit
+                )
+                keys[i] = unit_key(payload, self.engine_version)
                 hit = self.cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit
@@ -345,16 +335,14 @@ class Runner:
             pending.append(i)
 
         artifacts = self._stage_signatures(units, pending)
-        tasks = [
-            _Task(
-                index=i,
-                cost=_unit_cost(units[i]),
-                unit=units[i],
-                artifact=artifacts.get(units[i].build_signature()),
-                prebuilt=None,
-            )
-            for i in pending
-        ]
+        tasks = []
+        for i in pending:
+            unit = units[i]
+            artifact = artifacts.get(unit.build_signature())
+            if artifact is not None and isinstance(unit, _PrebuiltUnit):
+                # Ship the artifact path, not the pickled records.
+                unit = replace(unit, workload=None)
+            tasks.append(_Task(i, unit_cost(unit), unit, artifact))
         for index, result, build_s, sim_s in self._dispatch(tasks):
             results[index] = result
             self.stats["misses"] += 1
@@ -394,122 +382,34 @@ class Runner:
         fingerprint and attached by every worker — never pickled per
         task.
         """
-        if self.tracer is None:
-            return self._run_prebuilt(
-                workload, configurations, baseline_name, storm, shootdown,
-                record_intervals, quantum, metrics, trace,
-            )
-        with self.tracer.span(
-            "runner.execute", workload=workload.name, jobs=self.jobs
-        ) as span:
-            self._span = span
-            try:
-                comparison = self._run_prebuilt(
-                    workload, configurations, baseline_name, storm,
-                    shootdown, record_intervals, quantum, metrics, trace,
-                )
-            finally:
-                self._span = None
-            span.attrs["cache_hits"] = self.stats["hits"]
-            span.attrs["misses"] = self.stats["misses"]
-            return comparison
-
-    def _run_prebuilt(
-        self,
-        workload: Workload,
-        configurations: Sequence[cfg.SystemConfig],
-        baseline_name: str,
-        storm: Optional[StormConfig],
-        shootdown: Optional[ShootdownTraffic],
-        record_intervals: bool,
-        quantum: int,
-        metrics: bool,
-        trace: bool,
-    ) -> Comparison:
         configurations = list(configurations)
         names = [config.name for config in configurations]
         if baseline_name not in names:
             raise ValueError(f"no baseline {baseline_name!r} in the lineup")
-        self.stats = {"hits": 0, "misses": 0}
-        self.trace_stats = {"builds": 0, "build_s": 0.0}
-        keys: List[Optional[str]] = [None] * len(configurations)
-        results: List[Optional[RunResult]] = [None] * len(configurations)
-        pending: List[int] = []
         fingerprint = (
             workload_fingerprint(workload)
             if self.cache is not None or self.trace_store is not None
             else None
         )
-        for i, config in enumerate(configurations):
-            if self.cache is not None:
-                start = time.perf_counter()
-                payload = {
-                    "workload_fingerprint": fingerprint,
-                    "config": canonicalize(config),
-                    "storm": canonicalize(storm),
-                    "shootdown": canonicalize(shootdown),
-                    "record_intervals": record_intervals,
-                    "quantum": quantum,
-                    "metrics": metrics,
-                    "trace": trace,
-                }
-                keys[i] = unit_key(payload, self.engine_version)
-                hit = self.cache.get(keys[i])
-                if hit is not None:
-                    results[i] = hit
-                    self.stats["hits"] += 1
-                    self._telemetry(
-                        keys[i], config.name, workload.name,
-                        config.num_cores, workload.seed, "hit",
-                        time.perf_counter() - start, 0.0, 0.0, hit,
-                    )
-                    continue
-            pending.append(i)
-
-        artifact: Optional[str] = None
-        if self.trace_store is not None and pending:
-            start = time.perf_counter()
-            artifact, built = self.trace_store.ensure_prebuilt(
-                fingerprint, workload
+        units = [
+            _PrebuiltUnit(
+                config=config,
+                workload=workload,
+                accesses_per_core=workload.total_accesses
+                // workload.num_cores,
+                seed=workload.seed,
+                superpages=workload.superpages,
+                storm=storm,
+                shootdown=shootdown,
+                record_intervals=record_intervals,
+                quantum=quantum,
+                metrics=metrics,
+                trace=trace,
+                fingerprint=fingerprint,
             )
-            if built:
-                self.trace_stats["builds"] += 1
-                self.trace_stats["build_s"] += time.perf_counter() - start
-            self._store_telemetry()
-        trace_length = sum(
-            len(stream) for core in workload.traces for stream in core
-        )
-        tasks = [
-            _Task(
-                index=i,
-                cost=_config_cost(
-                    configurations[i], trace_length, storm, shootdown
-                ),
-                unit=None,
-                artifact=artifact,
-                prebuilt=(
-                    configurations[i],
-                    None if artifact is not None else workload,
-                    storm, shootdown, record_intervals, quantum, metrics,
-                    trace,
-                ),
-            )
-            for i in pending
+            for config in configurations
         ]
-        for index, result, build_s, sim_s in self._dispatch(tasks):
-            results[index] = result
-            self.stats["misses"] += 1
-            if self.cache is not None:
-                self.cache.put(keys[index], result)
-            self._unit_spans(
-                index, configurations[index].name, build_s, sim_s
-            )
-            self._telemetry(
-                keys[index], configurations[index].name, workload.name,
-                configurations[index].num_cores, workload.seed,
-                "miss" if self.cache is not None else "off",
-                build_s + sim_s, build_s, sim_s, result,
-            )
+        results = self.execute_units(units)
         return Comparison(workload.name, dict(zip(names, results)), baseline_name)
 
     # ------------------------------------------------------------------
@@ -533,7 +433,12 @@ class Runner:
             if signature in artifacts:
                 continue
             start = time.perf_counter()
-            path, built = self.trace_store.ensure(signature)
+            if isinstance(units[i], _PrebuiltUnit):
+                path, built = self.trace_store.ensure_prebuilt(
+                    units[i].fingerprint, units[i].workload
+                )
+            else:
+                path, built = self.trace_store.ensure(signature)
             if built:
                 self.trace_stats["builds"] += 1
                 self.trace_stats["build_s"] += time.perf_counter() - start

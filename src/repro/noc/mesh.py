@@ -1,13 +1,11 @@
-"""Multi-hop mesh network models.
+"""The paper's multi-hop mesh model.
 
-Two flavours:
-
-* :class:`ContentionFreeMesh` — the paper's baseline for the
-  distributed / monolithic configurations: "we place enough buffers and
-  links in the system to prevent link contention" (§IV), so a message
-  deterministically takes ``hops * (tr + tw)`` cycles.
-* :class:`ContendedMesh` — per-link wormhole occupancy for studies that
-  *do* want mesh queueing (Fig 11c's latency-vs-injection comparison).
+:class:`ContentionFreeMesh` is the baseline for the distributed /
+monolithic configurations: "we place enough buffers and links in the
+system to prevent link contention" (§IV), so a message deterministically
+takes ``hops * (tr + tw)`` cycles.  Fig 11c's latency-vs-injection
+comparison, which does model mesh queueing, runs
+:func:`repro.noc.synthetic.run_mesh_traffic` instead.
 """
 
 from __future__ import annotations
@@ -112,51 +110,3 @@ class ContentionFreeMesh:
             for link, count in self.link_traversals.items()
         }
 
-
-class ContendedMesh:
-    """Mesh with per-link occupancy: messages queue at busy links.
-
-    Each hop needs its outgoing link for one cycle after the router
-    stage; a busy link stalls the message (credit/VC detail abstracted
-    into per-link serialisation, which captures first-order queueing).
-    """
-
-    def __init__(
-        self,
-        topology: MeshTopology,
-        router_cycles: int = 1,
-        wire_cycles: int = 1,
-    ) -> None:
-        self.topology = topology
-        self.router_cycles = router_cycles
-        self.wire_cycles = wire_cycles
-        self._link_free: Dict[Link, int] = {}
-        self.messages = 0
-        self.total_queue_cycles = 0
-        #: link -> cycles its wire carried flits (utilization numerator).
-        self.link_busy: Dict[Link, int] = {}
-
-    def send(self, src: int, dst: int, now: int) -> Traversal:
-        path = self.topology.xy_path(src, dst)
-        t = now
-        queued = 0
-        for link in path:
-            t += self.router_cycles
-            free_at = self._link_free.get(link, 0)
-            if free_at > t:
-                queued += free_at - t
-                t = free_at
-            self._link_free[link] = t + self.wire_cycles
-            self.link_busy[link] = (
-                self.link_busy.get(link, 0) + self.wire_cycles
-            )
-            t += self.wire_cycles
-        self.messages += 1
-        self.total_queue_cycles += queued
-        return Traversal(
-            arrival=t, hops=len(path), queue_cycles=queued, links=tuple(path)
-        )
-
-    def link_busy_cycles(self) -> Dict[Link, int]:
-        """Cycles each link's wire carried a flit."""
-        return dict(self.link_busy)

@@ -112,13 +112,18 @@ class RunUnit:
     def build_workload(self) -> Workload:
         return _build_workload(*self.build_signature())
 
-    def execute(self):
-        """Build the workload and simulate it.  Deterministic."""
+    def execute(self, workload: Optional[Workload] = None):
+        """Simulate ``workload`` (built from this unit when ``None``).
+
+        The one call into the engine for every unit the Runner, the
+        serving tier or a caller executes.  Deterministic.
+        """
+        # Looked up at call time: benchmark tracers patch engine.simulate.
         from repro.sim.engine import simulate
 
         return simulate(
             self.config,
-            self.build_workload(),
+            self.build_workload() if workload is None else workload,
             quantum=self.quantum,
             storm=self.storm,
             shootdown=self.shootdown,

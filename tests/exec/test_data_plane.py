@@ -8,6 +8,7 @@ cache keys must be unchanged (a cache written by the store-less serial
 runner replays into the data plane as pure hits).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -15,12 +16,13 @@ import pytest
 from tests._corpus import differential_corpus
 
 from repro.exec.cache import canonical_json
-from repro.exec.runner import Runner, _unit_cost
+from repro.exec.runner import Runner, unit_cost
 from repro.exec.trace_store import _clear_attachments
 from repro.obs import write_obs_jsonl
 from repro.sim import configs as cfg
 from repro.sim.engine import StormConfig
 from repro.sim.scenario import Scenario
+from repro.workloads.trace import Workload
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +94,70 @@ def test_run_prebuilt_through_store_is_bit_identical(tmp_path):
     assert canonical_json(fanned.results) == canonical_json(reference.results)
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Every task the Runner hands to ``_dispatch``, in hand-off order."""
+    tasks = []
+    dispatch = Runner._dispatch
+
+    def recording(self, batch):
+        tasks.extend(batch)
+        return dispatch(self, batch)
+
+    monkeypatch.setattr(Runner, "_dispatch", recording)
+    return tasks
+
+
+def _values(obj):
+    """``obj`` and everything reachable through tuple/dataclass fields."""
+    yield obj
+    if isinstance(obj, tuple):
+        children = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        children = ()
+    for child in children:
+        yield from _values(child)
+
+
+def test_run_prebuilt_tasks_ship_the_artifact_not_the_workload(
+    tmp_path, dispatched
+):
+    from repro.workloads.generators import build_multithreaded
+    from repro.workloads.registry import get_workload
+
+    workload = build_multithreaded(
+        get_workload("olio"), 4, accesses_per_core=300, seed=5
+    )
+    Runner(trace_store=str(tmp_path / "s")).run_prebuilt(
+        workload, [cfg.private(4), cfg.nocstar(4)]
+    )
+    assert len(dispatched) == 2
+    assert all(task.artifact is not None for task in dispatched)
+    assert not any(
+        isinstance(value, Workload)
+        for task in dispatched
+        for value in _values(task)
+    )
+
+
+@pytest.mark.parametrize("smt", [1, 2])
+def test_prebuilt_cell_costs_the_same_as_its_generated_twin(smt, dispatched):
+    unit = Scenario(
+        configurations=(cfg.nocstar(4),),
+        workloads="gups",
+        accesses_per_core=300,
+        smt=smt,
+        baseline_name="nocstar",
+    ).units()[0]
+    Runner().run_prebuilt(
+        unit.build_workload(), [unit.config], baseline_name="nocstar"
+    )
+    (task,) = dispatched
+    assert task.cost == unit_cost(unit)
+
+
 def test_lineup_dedup_builds_once_and_reuses_across_runners(tmp_path):
     scenario = Scenario(
         configurations=(cfg.private(4), cfg.distributed(4), cfg.nocstar(4)),
@@ -119,12 +185,12 @@ def test_cost_model_orders_the_obvious_cases():
         )
         return scenario.units()[0]
 
-    assert _unit_cost(unit(cfg.nocstar(8))) > _unit_cost(unit(cfg.private(8)))
-    assert _unit_cost(unit(cfg.private(8))) > _unit_cost(unit(cfg.ideal(8)))
-    assert _unit_cost(unit(cfg.private(16))) > _unit_cost(unit(cfg.private(8)))
-    assert _unit_cost(
+    assert unit_cost(unit(cfg.nocstar(8))) > unit_cost(unit(cfg.private(8)))
+    assert unit_cost(unit(cfg.private(8))) > unit_cost(unit(cfg.ideal(8)))
+    assert unit_cost(unit(cfg.private(16))) > unit_cost(unit(cfg.private(8)))
+    assert unit_cost(
         unit(cfg.private(8), storm=StormConfig(period=4000))
-    ) == pytest.approx(2.0 * _unit_cost(unit(cfg.private(8))))
+    ) == pytest.approx(2.0 * unit_cost(unit(cfg.private(8))))
 
 
 def test_telemetry_schema_3_splits_build_and_sim(tmp_path):

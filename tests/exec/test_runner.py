@@ -5,8 +5,16 @@ import time
 
 import pytest
 
+from repro.exec.cache import (
+    ResultCache,
+    canonicalize,
+    unit_key,
+    workload_fingerprint,
+)
 from repro.exec.runner import Runner
+from repro.obs.spans import Tracer
 from repro.sim import configs as cfg
+from repro.sim.engine import ENGINE_VERSION, StormConfig
 from repro.sim.run import run_suite
 from repro.sim.scenario import Scenario
 from repro.workloads.generators import build_multithreaded
@@ -147,6 +155,69 @@ def test_run_prebuilt_parallel_and_cached(tmp_path):
     second = cached.run_prebuilt(workload, configs)
     assert cached.stats == {"hits": 2, "misses": 0}
     assert first.results == second.results == plain.results
+
+
+def test_run_prebuilt_cache_keys_hash_the_workload_fingerprint(tmp_path):
+    # Entries written before prebuilt cells became units must still hit,
+    # so the key payload is pinned field by field.
+    workload = build_multithreaded(
+        get_workload("olio"), 4, accesses_per_core=300, seed=3
+    )
+    configs = [cfg.private(4), cfg.nocstar(4)]
+    storm = StormConfig(period=4000)
+    runner = Runner(cache_dir=str(tmp_path / "c"))
+    runner.run_prebuilt(
+        workload, configs, storm=storm, record_intervals=True, quantum=128
+    )
+    expected = {
+        unit_key(
+            {
+                "workload_fingerprint": workload_fingerprint(workload),
+                "config": canonicalize(config),
+                "storm": canonicalize(storm),
+                "shootdown": None,
+                "record_intervals": True,
+                "quantum": 128,
+                "metrics": False,
+                "trace": False,
+            },
+            ENGINE_VERSION,
+        )
+        for config in configs
+    }
+    assert set(ResultCache(str(tmp_path / "c")).keys()) == expected
+
+
+def test_run_prebuilt_spans_and_telemetry_match_execute_units(tmp_path):
+    workload = build_multithreaded(
+        get_workload("olio"), 4, accesses_per_core=300, seed=7
+    )
+    tracer = Tracer()
+    telemetry = tmp_path / "telemetry.jsonl"
+    Runner(tracer=tracer, telemetry_path=str(telemetry)).run_prebuilt(
+        workload, [cfg.private(4), cfg.nocstar(4)]
+    )
+    by_name = {}
+    for record in tracer.records:
+        by_name.setdefault(record["name"], []).append(record)
+    (root,) = by_name["runner.execute"]
+    assert root["attrs"] == {
+        "units": 2, "jobs": 1, "cache_hits": 0, "misses": 2,
+    }
+    execs = by_name["unit.exec"]
+    assert sorted(s["attrs"]["config"] for s in execs) == [
+        "nocstar", "private",
+    ]
+    assert all(s["parent_id"] == root["span_id"] for s in execs)
+    exec_ids = sorted(s["span_id"] for s in execs)
+    for child in ("unit.build", "unit.sim"):
+        assert sorted(s["parent_id"] for s in by_name[child]) == exec_ids
+
+    rows = [json.loads(line) for line in telemetry.read_text().splitlines()]
+    assert [
+        (row["config"], row["workload"], row["seed"], row["cores"])
+        for row in rows
+    ] == [("private", workload.name, 7, 4), ("nocstar", workload.name, 7, 4)]
 
 
 def test_invalid_jobs_rejected():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
-from repro.noc.mesh import ContendedMesh, ContentionFreeMesh
+from repro.noc.mesh import ContentionFreeMesh
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
 
@@ -72,7 +72,6 @@ def test_every_network_arrival_at_or_after_send(messages):
     topo = MeshTopology(16)
     networks = [
         ContentionFreeMesh(topo),
-        ContendedMesh(topo),
         SmartNetwork(topo),
         BusNetwork(topo),
         FlattenedButterfly(topo),
