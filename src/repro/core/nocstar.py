@@ -46,7 +46,6 @@ from repro.faults.inject import (
     FALLBACK_CYCLES_PER_HOP,
     FALLBACK_INJECTION_CYCLES,
 )
-from repro.faults.routing import UnreachableError
 from repro.noc.occupancy import LinkLayout, LinkOccupancy, link_ids
 from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import Link, MeshTopology
@@ -278,13 +277,7 @@ class NocstarInterconnect:
         bookkeeping is skipped by the existing guards.
         """
         inj = self.faults
-        path = inj.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        hops = len(path)
+        hops = len(inj.router.path(src, dst))
         self.control_requests += xy_hops * attempts
         self.total_setup_retries += attempts
         self.total_hops += hops

@@ -14,9 +14,10 @@ to canonicalise; they are fingerprinted by hashing their trace records
 instead, which preserves the same property.
 
 Values are stored with :mod:`pickle` (results are trusted local
-artefacts and must round-trip exactly, intervals and all), written
-atomically so concurrent writers — pool workers, parallel suites —
-can never expose a torn entry.
+artefacts and must round-trip exactly, intervals and all) in the one
+content-addressed store both on-disk caches share
+(:class:`~repro.exec.store.ContentStore`, which owns the layout, the
+atomic commit and eviction walks).
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.exec.store import ContentStore
 from repro.sim.results import RunResult
 from repro.workloads.trace import Workload
 
@@ -73,10 +73,14 @@ def canonical_json(obj) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
+def content_key(obj) -> str:
+    """SHA-256 of ``canonical_json(obj)``: the key of every stored entry."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def unit_key(unit, engine_version: str) -> str:
     """SHA-256 content address of one run unit under one engine version."""
-    payload = canonical_json({"engine": engine_version, "unit": unit})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key({"engine": engine_version, "unit": unit})
 
 
 def workload_fingerprint(workload: Workload) -> str:
@@ -103,84 +107,29 @@ def workload_fingerprint(workload: Workload) -> str:
     return digest.hexdigest()
 
 
-class ResultCache:
+class ResultCache(ContentStore):
     """Content-addressed store of :class:`RunResult` values on disk.
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` — the two-character fan-out
-    keeps directories small under big sweeps.  ``get`` treats any
-    unreadable entry as a miss (a corrupt or truncated file must never
-    poison a run).
+    One ``<key>.pkl`` file per entry under the shared store layout and
+    commit rule (:mod:`repro.exec.store`).  ``get`` treats any
+    unreadable entry as a miss: a corrupt or truncated file must never
+    poison a run.
     """
 
-    def __init__(self, root: str) -> None:
-        self.root = str(root)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.pkl")
+    SUFFIXES = (".pkl",)
 
     def get(self, key: str) -> Optional[RunResult]:
+        # A damaged pickle can raise almost anything (UnicodeDecodeError,
+        # ModuleNotFoundError, MemoryError, ...), so every failure is a miss.
         try:
-            with open(self._path(key), "rb") as fh:
+            with open(self.path(key), "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
             return None
 
     def put(self, key: str, result: RunResult) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
-
-    def keys(self) -> Iterator[str]:
-        if not os.path.isdir(self.root):
-            return
-        for bucket in sorted(os.listdir(self.root)):
-            subdir = os.path.join(self.root, bucket)
-            if not os.path.isdir(subdir):
-                continue
-            for entry in sorted(os.listdir(subdir)):
-                if entry.endswith(".pkl") and not entry.startswith(".tmp-"):
-                    yield entry[: -len(".pkl")]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def stats(self) -> dict:
-        """``{"entries": count, "bytes": total_size}``."""
-        entries = 0
-        size = 0
-        for key in self.keys():
-            entries += 1
-            try:
-                size += os.path.getsize(self._path(key))
-            except OSError:
-                pass
-        return {"entries": entries, "bytes": size}
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for key in list(self.keys()):
-            try:
-                os.unlink(self._path(key))
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        protocol = pickle.HIGHEST_PROTOCOL
+        self._commit(key, lambda fh: pickle.dump(result, fh, protocol=protocol))
 
     def evict_older_than(self, max_age_s: float, now: Optional[float] = None) -> int:
         """Delete entries last written more than ``max_age_s`` ago.
@@ -196,12 +145,8 @@ class ResultCache:
         if now is None:
             now = time.time()
         removed = 0
-        for key in list(self.keys()):
-            path = self._path(key)
-            try:
-                if now - os.path.getmtime(path) > max_age_s:
-                    os.unlink(path)
-                    removed += 1
-            except OSError:
-                pass
+        for mtime, key in self._oldest_first():
+            if now - mtime <= max_age_s:
+                break
+            removed += self._remove(key)
         return removed

@@ -54,7 +54,7 @@ from repro.exec.cache import (
     workload_fingerprint,
 )
 from repro.exec.trace_store import TraceStore, attach_workload
-from repro.obs.spans import Span, Tracer, span_record
+from repro.obs.spans import Span, Tracer, unit_span_records
 from repro.sim import configs as cfg
 from repro.sim.engine import (
     DEFAULT_QUANTUM,
@@ -494,35 +494,14 @@ class Runner:
         end = self._arrivals.get(index)
         if end is None:
             return
-        sim_start = end - sim_s
-        start = sim_start - build_s
-        unit_rec = span_record(
-            name="unit.exec",
-            trace_id=self.tracer.trace_id,
-            parent_id=self._span.span_id,
-            start_s=start,
-            end_s=end,
-            attrs={"config": config_name},
-        )
-        self.tracer.records.append(unit_rec)
-        self.tracer.records.append(
-            span_record(
-                name="unit.build",
+        self.tracer.records.extend(
+            unit_span_records(
                 trace_id=self.tracer.trace_id,
-                parent_id=unit_rec["span_id"],
-                start_s=start,
-                end_s=sim_start,
-                attrs={"config": config_name},
-            )
-        )
-        self.tracer.records.append(
-            span_record(
-                name="unit.sim",
-                trace_id=self.tracer.trace_id,
-                parent_id=unit_rec["span_id"],
-                start_s=sim_start,
+                parent_id=self._span.span_id,
+                config=config_name,
                 end_s=end,
-                attrs={"config": config_name},
+                build_s=build_s,
+                sim_s=sim_s,
             )
         )
 

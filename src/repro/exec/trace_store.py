@@ -5,9 +5,12 @@ trace is a pure function of its build signature — workload spec, core
 count, accesses per core, seed, superpage flag, SMT width — so there is
 never a reason to construct it more than once per machine.  The
 :class:`TraceStore` materializes each signature's trace as a packed
-``.npy`` artifact (see :func:`repro.workloads.io.save_workload_packed`)
-under a SHA-256 content address, shared across lineups, sweeps, and
-sessions.
+``.npy`` artifact plus ``.json`` sidecar (the layout of
+:func:`repro.workloads.io.pack_workload`) under a SHA-256 content
+address, shared across lineups, sweeps, and sessions.  It is the same
+:class:`~repro.exec.store.ContentStore` the result cache uses, so the
+layout, the commit rule (sidecar last, as the commit marker), listing,
+sizing and removal are written once, in :mod:`repro.exec.store`.
 
 Keying mirrors the result cache: the canonical JSON of the signature
 plus two version tags — :data:`~repro.workloads.generators.GENERATOR_VERSION`
@@ -29,16 +32,16 @@ the data plane can swap builds for attaches without touching
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Tuple
 
-from repro.exec.cache import canonical_json
+from repro.exec.cache import content_key
+from repro.exec.store import ContentStore
 from repro.workloads.io import (
     PACKED_FORMAT_VERSION,
     load_workload_packed,
-    save_workload_packed,
+    packed_writers,
 )
 from repro.workloads.trace import Workload
 
@@ -82,22 +85,18 @@ def trace_key(signature) -> str:
     mapping built by :meth:`TraceStore._payload`); generator and format
     versions must already be folded in by the caller.
     """
-    return hashlib.sha256(
-        canonical_json(signature).encode("utf-8")
-    ).hexdigest()
+    return content_key(signature)
 
 
-class TraceStore:
+class TraceStore(ContentStore):
     """On-disk, content-addressed trace artifacts.
 
-    Layout: ``<root>/<key[:2]>/<key>.npy`` plus a ``<key>.json``
-    metadata sidecar — the same two-character fan-out as the result
-    cache.  An artifact without its sidecar is an uncommitted torn
-    write and reads as a miss.
+    Each entry is a ``<key>.npy`` packed-records file plus its
+    ``<key>.json`` metadata sidecar, in that commit order.
     """
 
-    def __init__(self, root: str) -> None:
-        self.root = str(root)
+    SUFFIXES = (".npy", ".json")
+    COUNT_NAME = "artifacts"
 
     # ------------------------------------------------------------------
     # keying
@@ -140,28 +139,17 @@ class TraceStore:
     # ------------------------------------------------------------------
     # artifact lifecycle
 
-    def path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.npy")
-
-    def _committed(self, key: str) -> bool:
-        path = self.path(key)
-        return os.path.exists(path) and os.path.exists(
-            os.path.splitext(path)[0] + ".json"
-        )
-
     def ensure(self, signature: Tuple) -> Tuple[str, bool]:
         """Materialize one signature's artifact; returns (path, built).
 
         Builds the trace (via the deterministic generator path the
         serial runner uses) only when the artifact is absent — the
-        build-once guarantee.  Concurrent builders race harmlessly:
-        writes are atomic and content-addressed, so the loser just
-        overwrites identical bytes.
+        build-once guarantee.  Concurrent builders race harmlessly
+        under the store's commit rule.
         """
         key = self.key_for(signature)
-        path = self.path(key)
-        if self._committed(key):
-            return path, False
+        if key in self:
+            return self.path(key), False
         from repro.workloads.generators import build_multithreaded
 
         spec, num_cores, accesses_per_core, seed, superpages, smt = signature
@@ -173,102 +161,38 @@ class TraceStore:
             superpages=superpages,
             smt=smt,
         )
-        save_workload_packed(workload, path)
-        return path, True
+        return self._commit(key, *packed_writers(workload)), True
 
     def ensure_prebuilt(
         self, fingerprint: str, workload: Workload
     ) -> Tuple[str, bool]:
         """Materialize an already-built workload under its fingerprint."""
         key = self.prebuilt_key(fingerprint)
-        path = self.path(key)
-        if self._committed(key):
-            return path, False
-        save_workload_packed(workload, path)
-        return path, True
+        if key in self:
+            return self.path(key), False
+        return self._commit(key, *packed_writers(workload)), True
 
     # ------------------------------------------------------------------
-    # stats & eviction
-
-    def keys(self) -> Iterator[str]:
-        if not os.path.isdir(self.root):
-            return
-        for bucket in sorted(os.listdir(self.root)):
-            subdir = os.path.join(self.root, bucket)
-            if not os.path.isdir(subdir):
-                continue
-            for entry in sorted(os.listdir(subdir)):
-                if entry.endswith(".npy") and not entry.startswith(".tmp-"):
-                    key = entry[: -len(".npy")]
-                    if self._committed(key):
-                        yield key
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self._committed(key)
-
-    def _entry_bytes(self, key: str) -> int:
-        path = self.path(key)
-        total = 0
-        for candidate in (path, os.path.splitext(path)[0] + ".json"):
-            try:
-                total += os.path.getsize(candidate)
-            except OSError:
-                pass
-        return total
-
-    def stats(self) -> Dict[str, int]:
-        """``{"artifacts": count, "bytes": total_size}``."""
-        artifacts = 0
-        size = 0
-        for key in self.keys():
-            artifacts += 1
-            size += self._entry_bytes(key)
-        return {"artifacts": artifacts, "bytes": size}
-
-    def _remove(self, key: str) -> None:
-        path = self.path(key)
-        # Sidecar first: a half-removed entry must read as a miss, and
-        # processes that already attached keep their live memmap (POSIX
-        # unlink keeps mapped bytes alive until the last map closes).
-        for candidate in (os.path.splitext(path)[0] + ".json", path):
-            try:
-                os.unlink(candidate)
-            except OSError:
-                pass
+    # eviction
 
     def evict(self, max_bytes: int) -> int:
         """Shrink the store to ``max_bytes``, oldest artifacts first.
 
-        Returns how many artifacts were removed.  Recency is mtime of
-        the ``.npy`` — attaches never rewrite artifacts, so this is
-        creation-time LRU, which is the right policy for content-
-        addressed entries (older generator output is colder output).
+        Returns how many artifacts were removed.  Sizes count the
+        sidecar; recency is mtime of the ``.npy`` — attaches never
+        rewrite artifacts, so this is creation-time LRU, which is the
+        right policy for content-addressed entries (older generator
+        output is colder output).
         """
-        entries: List[Tuple[float, str, int]] = []
-        for key in self.keys():
-            try:
-                mtime = os.path.getmtime(self.path(key))
-            except OSError:
-                continue
-            entries.append((mtime, key, self._entry_bytes(key)))
-        total = sum(size for _, _, size in entries)
+        entries = [
+            (key, self._entry_bytes(key)) for _, key in self._oldest_first()
+        ]
+        total = sum(size for _, size in entries)
         removed = 0
-        entries.sort()
-        for _, key, size in entries:
+        for key, size in entries:
             if total <= max_bytes:
                 break
             self._remove(key)
             total -= size
-            removed += 1
-        return removed
-
-    def clear(self) -> int:
-        """Delete every artifact; returns how many were removed."""
-        removed = 0
-        for key in list(self.keys()):
-            self._remove(key)
             removed += 1
         return removed

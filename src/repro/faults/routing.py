@@ -71,6 +71,21 @@ class FaultAwareRouter:
         self._routes[key] = path
         return path
 
+    def path(self, src: int, dst: int) -> Tuple[Link, ...]:
+        """Like :meth:`route`, but a partitioned pair raises.
+
+        What a fabric sends over once faults are live: callers must
+        pre-check reachability and degrade to a local walk, so a
+        missing route here is a protocol bug.
+        """
+        path = self.route(src, dst)
+        if path is None:
+            raise UnreachableError(
+                f"no alive route {src}->{dst}; caller must pre-check "
+                "reachability and degrade to a local walk"
+            )
+        return path
+
     def reachable(self, src: int, dst: int) -> bool:
         return self.route(src, dst) is not None
 

@@ -14,11 +14,7 @@ from repro.noc.bus import BusNetwork
 from repro.noc.fbfly import FlattenedButterfly
 from repro.noc.mesh import ContentionFreeMesh, Traversal
 from repro.noc.occupancy import LinkLayout, LinkOccupancy
-from repro.noc.route_cache import (
-    RouteCache,
-    reference_mode,
-    shared_route_cache,
-)
+from repro.noc.route_cache import RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.synthetic import (
     TrafficResult,
@@ -44,7 +40,6 @@ __all__ = [
     "LinkLayout",
     "LinkOccupancy",
     "RouteCache",
-    "reference_mode",
     "shared_route_cache",
     "SmartNetwork",
     "TrafficResult",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from repro.faults.routing import UnreachableError
 from repro.noc.route_cache import shared_route_cache
 from repro.noc.topology import Link, MeshTopology
 from repro.obs import NULL_SINK
@@ -61,7 +60,7 @@ class ContentionFreeMesh:
             # Fault-aware routing subsumes observation: the detour path
             # must be computed anyway, so links are always accounted.
             # Dead links also invalidate the fault-free route tables.
-            self._route = self._fault_route
+            self._route = faults.router.path
             self.send = self._send_path  # type: ignore[method-assign]
         elif sink.enabled:
             # Construction-time dispatch, not per-send branching: the
@@ -92,16 +91,6 @@ class ContentionFreeMesh:
             hops=len(path),
             links=path,
         )
-
-    def _fault_route(self, src: int, dst: int) -> Tuple[Link, ...]:
-        """The fault-aware route around dead links."""
-        path = self.faults.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        return path
 
     def link_busy_cycles(self) -> Dict[Link, int]:
         """Cycles each link's wire carried a flit (observed runs only)."""

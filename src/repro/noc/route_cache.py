@@ -42,25 +42,12 @@ against.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.noc.topology import Link, MeshTopology
-
-#: Environment switch selecting the engine's record-at-a-time reference
-#: drive loop (see :mod:`repro.sim.engine`); it does not affect routing.
-#: Read at use time (not import time) so tests can flip it per run;
-#: empty and "0" mean "off".
-REFERENCE_ENV = "REPRO_REFERENCE_ENGINE"
-
-
-def reference_mode() -> bool:
-    """True when the reference drive loop is forced."""
-    return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
-
 
 class _LazyRows:
     """Row-lazy ``table[src][dst]`` view over a 2-D ndarray.

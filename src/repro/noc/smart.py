@@ -14,9 +14,8 @@ stop".  Segments are tested and reserved as link bitmasks against a
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.faults.routing import UnreachableError
 from repro.noc.mesh import Traversal
 from repro.noc.occupancy import LinkLayout, LinkOccupancy
 from repro.noc.route_cache import shared_route_cache
@@ -44,8 +43,9 @@ class SmartNetwork:
         self.routes = routes
         if faults is not None and faults.router.dead:
             # Dead links invalidate the fault-free route tables: every
-            # send routes through the FaultAwareRouter instead.
-            self._route = self._fault_route
+            # send routes through the FaultAwareRouter instead (SSRs
+            # follow whatever route the flit is configured with).
+            self._route = faults.router.path
         else:
             self._route = routes.path
         #: cycle -> bitmask of link ids carrying a flit (per-cycle
@@ -67,17 +67,6 @@ class SmartNetwork:
             for link_id, cycles in self._occupancy.busy_counts().items()
         }
 
-    def _fault_route(self, src: int, dst: int) -> List[Link]:
-        """Fault-aware route: bypass segments then ride the detour path
-        (SSRs follow whatever route the flit is configured with)."""
-        path = self.faults.router.route(src, dst)
-        if path is None:
-            raise UnreachableError(
-                f"no alive route {src}->{dst}; caller must pre-check "
-                "reachability and degrade to a local walk"
-            )
-        return list(path)
-
     def _path_masks(self, src: int, dst: int) -> tuple:
         """``(path, bits, prefix)`` for the route ``src -> dst``.
 
@@ -88,7 +77,7 @@ class SmartNetwork:
         key = (src, dst)
         masks = self._masks.get(key)
         if masks is None:
-            path = tuple(self._route(src, dst))
+            path = self._route(src, dst)
             link_id = self._layout.link_id
             bits = [1 << link_id(link) for link in path]
             prefix = [0]

@@ -170,6 +170,66 @@ def span_record(
     }
 
 
+def unit_span_records(
+    *,
+    trace_id: str,
+    parent_id: Optional[str],
+    config: str,
+    end_s: float,
+    build_s: float,
+    sim_s: float,
+    start_s: Optional[float] = None,
+    status: str = "ok",
+    split: bool = True,
+    **attrs,
+) -> List[Dict[str, object]]:
+    """One executed unit's ``unit.exec`` span and, when ``split``, its
+    tail-anchored ``unit.build``/``unit.sim`` children.
+
+    Workers report the build/sim split as durations, not wall
+    timestamps, so the children end at the exec span's ``end_s``.  The
+    exec span starts at ``start_s`` when the caller knows it (the
+    serving tier; the gap before the children is then the executor
+    hand-off, and the children are clamped to it), else where the build
+    began (the Runner, which anchors at the unit's arrival).  Every
+    record carries ``config``; ``attrs`` go on the exec span only.
+    """
+    sim_start = end_s - sim_s
+    if start_s is None:
+        start_s = sim_start - build_s
+    sim_start = max(start_s, sim_start)
+    build_start = max(start_s, sim_start - build_s)
+    exec_id = new_id()
+    records = [
+        span_record(
+            name="unit.exec",
+            trace_id=trace_id,
+            span_id=exec_id,
+            parent_id=parent_id,
+            start_s=start_s,
+            end_s=end_s,
+            status=status,
+            attrs={"config": config, **attrs},
+        )
+    ]
+    if split:
+        for name, start, end in (
+            ("unit.build", build_start, sim_start),
+            ("unit.sim", sim_start, end_s),
+        ):
+            records.append(
+                span_record(
+                    name=name,
+                    trace_id=trace_id,
+                    parent_id=exec_id,
+                    start_s=start,
+                    end_s=end,
+                    attrs={"config": config},
+                )
+            )
+    return records
+
+
 class Tracer:
     """Collects one process's finished spans for one trace.
 

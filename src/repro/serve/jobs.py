@@ -51,7 +51,7 @@ from repro.exec.cache import ResultCache, unit_key
 from repro.exec.runner import execute_unit, unit_cost
 from repro.exec.trace_store import TraceStore
 from repro.obs import MetricsRegistry
-from repro.obs.spans import new_id, span_record
+from repro.obs.spans import new_id, span_record, unit_span_records
 from repro.serve.schema import (
     SERVICE_CLASSES,
     JobResult,
@@ -658,49 +658,25 @@ class JobManager:
             )
             if e.started_ts is None:
                 continue
-            exec_end = (
-                e.finished_ts if e.finished_ts is not None else now_ts
-            )
-            exec_id = new_id()
-            records.append(
-                span_record(
-                    name="unit.exec",
+            records.extend(
+                unit_span_records(
                     trace_id=trace_id,
-                    span_id=exec_id,
                     parent_id=job.span_id,
+                    config=config,
                     start_s=e.started_ts,
-                    end_s=exec_end,
+                    end_s=(
+                        e.finished_ts if e.finished_ts is not None else now_ts
+                    ),
+                    build_s=e.build_s,
+                    sim_s=e.sim_s,
                     status=(
                         f"error: {e.error}" if e.state == "failed" else "ok"
                     ),
-                    attrs={"config": config, "state": e.state},
+                    split=e.state == "done"
+                    and (e.build_s > 0.0 or e.sim_s > 0.0),
+                    state=e.state,
                 )
             )
-            if e.state == "done" and (e.build_s > 0.0 or e.sim_s > 0.0):
-                sim_start = max(e.started_ts, exec_end - e.sim_s)
-                build_start = max(
-                    e.started_ts, sim_start - e.build_s
-                )
-                records.append(
-                    span_record(
-                        name="unit.build",
-                        trace_id=trace_id,
-                        parent_id=exec_id,
-                        start_s=build_start,
-                        end_s=sim_start,
-                        attrs={"config": config},
-                    )
-                )
-                records.append(
-                    span_record(
-                        name="unit.sim",
-                        trace_id=trace_id,
-                        parent_id=exec_id,
-                        start_s=sim_start,
-                        end_s=exec_end,
-                        attrs={"config": config},
-                    )
-                )
         records.extend(job.extra_spans)
         return records
 

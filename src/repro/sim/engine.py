@@ -47,13 +47,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.faults.models import FaultPlan, FaultSpec, derive_seed
-from repro.noc.route_cache import reference_mode
 from repro.obs import NULL_SINK, EventTrace, MetricsSink
 from repro.sim import configs as cfg
 from repro.sim.engine_vec import (
     VECTORIZED_ENV,
     bulk_fill_compile_cache,
     make_lean_transaction,
+    reference_mode,
     vectorized_wanted,
 )
 from repro.sim.results import RunResult
@@ -206,7 +206,8 @@ def simulate(
     system = System(
         config, record_intervals=record_intervals, sink=sink, faults=faults
     )
-    if storm is None and shootdown is None and not reference_mode():
+    reference = reference_mode()
+    if storm is None and shootdown is None and not reference:
         # Batched fast path: with no external L1 invalidations the hit/
         # miss sequence is stream-determined, so hit runs advance in one
         # bisect per heap pop.  Bit-identical to the reference loop (the
@@ -220,7 +221,7 @@ def simulate(
             finishes = _drive_batched(
                 system, workload, quantum, sink, watchdog_cycles
             )
-    elif reference_mode():
+    elif reference:
         finishes = _drive_reference(
             system, workload, quantum, storm, shootdown, sink,
             watchdog_cycles,

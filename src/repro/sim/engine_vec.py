@@ -60,6 +60,11 @@ from repro.sim import configs as cfg
 from repro.tlb.l2_shared import FIFO
 from repro.vm.address import PAGE_1G
 
+#: Environment switch selecting the record-at-a-time reference drive
+#: loop (see :mod:`repro.sim.engine`); it wins over every other loop
+#: and does not affect routing.  Empty and "0" mean "off".
+REFERENCE_ENV = "REPRO_REFERENCE_ENGINE"
+
 #: Environment switch for the vectorized mega-mesh path: "0" disables,
 #: any other non-empty value forces it on at every core count, unset
 #: auto-engages at VECTORIZED_MIN_CORES.  Read at use time so tests can
@@ -83,6 +88,11 @@ def vectorized_mode(num_cores: int) -> bool:
     if value:
         return True
     return num_cores >= VECTORIZED_MIN_CORES
+
+
+def reference_mode() -> bool:
+    """True when the reference drive loop is forced."""
+    return os.environ.get(REFERENCE_ENV, "") not in ("", "0")
 
 
 def vectorized_wanted(config, watchdog_cycles: Optional[int]) -> bool:

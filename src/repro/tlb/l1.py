@@ -50,19 +50,16 @@ class L1Tlb:
 
     def __init__(self, config: L1TlbConfig = L1TlbConfig()) -> None:
         self.config = config
-        # Lazy sets: a 1024-tile system builds 3072 L1 arrays, most of
-        # whose sets a short trace never touches; the engine's compile
-        # fast path materialises on demand.
         self._arrays: Dict[int, SetAssociativeTLB] = {
             PAGE_4K: SetAssociativeTLB(
-                config.entries_4k, config.ways_4k, "l1-4k", lazy_sets=True
+                config.entries_4k, config.ways_4k, "l1-4k"
             ),
             PAGE_2M: SetAssociativeTLB(
-                config.entries_2m, config.ways_2m, "l1-2m", lazy_sets=True
+                config.entries_2m, config.ways_2m, "l1-2m"
             ),
             PAGE_1G: SetAssociativeTLB(
                 config.entries_1g, min(config.ways_1g, config.entries_1g),
-                "l1-1g", lazy_sets=True,
+                "l1-1g",
             ),
         }
 

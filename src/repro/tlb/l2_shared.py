@@ -116,7 +116,7 @@ class _ShardedTlb:
         self.shards: List[SetAssociativeTLB] = [
             SetAssociativeTLB(
                 self.entries_per_shard, ways, f"{name}[{i}]",
-                index_shift=shift, policy=policy, lazy_sets=True,
+                index_shift=shift, policy=policy,
             )
             for i in range(num_shards)
         ]

@@ -39,7 +39,6 @@ class SetAssociativeTLB:
         name: str = "tlb",
         index_shift: int = 0,
         policy: str = "lru",
-        lazy_sets: bool = False,
     ) -> None:
         if entries <= 0 or ways <= 0:
             raise ValueError("entries and ways must be positive")
@@ -62,17 +61,13 @@ class SetAssociativeTLB:
         if state_cls is None:
             make_policy(policy, ways)  # raises the canonical KeyError
         self._state_cls = state_cls
-        # ``lazy_sets`` defers per-set state construction until a set is
-        # first indexed.  A fresh policy state observes nothing until
-        # touched, so laziness is invisible to replacement behaviour;
-        # aggregate views below simply skip unmaterialised sets, and
-        # code that indexes ``_sets`` directly treats ``None`` as an
-        # empty set.  The mega-mesh L2 slices and L1 arrays (10^5+
-        # sets, mostly cold at 1024 tiles) opt in.
-        if lazy_sets:
-            self._sets = [None] * self.num_sets
-        else:
-            self._sets = [state_cls(ways) for _ in range(self.num_sets)]
+        # Per-set state is built when a set is first indexed.  A fresh
+        # policy state observes nothing until touched, so laziness is
+        # invisible to replacement behaviour; aggregate views below
+        # simply skip unmaterialised sets, and code that indexes
+        # ``_sets`` directly treats ``None`` as an empty set.  At 1024
+        # tiles the L1 arrays and L2 slices hold 10^5+ sets, mostly cold.
+        self._sets = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
         self.insertions = 0

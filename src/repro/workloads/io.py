@@ -9,13 +9,14 @@ objects through two on-disk layouts:
   ``(gap, asid, page_size, page_number)`` rows plus a JSON metadata
   header, compressed; the interchange format for exporting the
   calibrated suite or importing traces captured elsewhere;
-* **packed ``.npy`` + JSON sidecar** (:func:`save_workload_packed` /
-  :func:`load_workload_packed`) — every stream concatenated into one
-  ``(N, 4)`` ``int64`` array, uncompressed, so readers can attach with
-  ``np.load(..., mmap_mode="r")`` and share the bytes through the page
-  cache instead of each materialising a private copy.  This is the
-  memmap-friendly build path the sweep data plane's
+* **packed ``.npy`` + JSON sidecar** (:func:`pack_workload` /
+  :func:`packed_writers` / :func:`load_workload_packed`) — every stream
+  concatenated into one ``(N, 4)`` ``int64`` array, uncompressed, so
+  readers can attach with ``np.load(..., mmap_mode="r")`` and share the
+  bytes through the page cache instead of each materialising a private
+  copy.  This is the memmap-friendly layout the sweep data plane's
   :class:`~repro.exec.trace_store.TraceStore` stores its artifacts in.
+  This module only encodes and decodes it; the store commits the files.
 
 Both layouts round-trip exactly: records come back as tuples of Python
 ``int`` (never ``np.int64``), byte-identical to what the generators
@@ -26,10 +27,8 @@ of in-process builds without perturbing a single simulated bit.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,49 +159,19 @@ def unpack_traces(
     return traces
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json")
+def packed_writers(
+    workload: Workload,
+) -> Tuple[Callable[[BinaryIO], object], Callable[[BinaryIO], object]]:
+    """The packed layout's two files as writers, in commit order.
 
-
-def save_workload_packed(workload: Workload, path: Union[str, Path]) -> Path:
-    """Write the packed (memmap-friendly) layout; returns the .npy path.
-
-    Two files: ``<path>.npy`` (the packed records, uncompressed so they
-    can be attached with ``mmap_mode="r"``) and ``<path>.json`` (the
-    metadata sidecar).  Both are written to temp files and committed
-    with ``os.replace``, sidecar last — the sidecar's presence is the
-    commit marker, so concurrent writers (pool workers racing on one
-    artifact) can never expose a torn entry.
+    First the ``.npy`` records (uncompressed so they can be attached
+    with ``mmap_mode="r"``), then the ``.json`` metadata sidecar, which
+    :class:`~repro.exec.trace_store.TraceStore` commits last, as the
+    entry's commit marker.
     """
-    path = Path(path)
-    if path.suffix != ".npy":
-        path = path.with_suffix(path.suffix + ".npy")
     data, _, _, meta = pack_workload(workload)
-    directory = path.parent
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".npy")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(meta, fh, sort_keys=True)
-        os.replace(tmp, _sidecar_path(path))
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    sidecar = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return (lambda fh: np.save(fh, data)), (lambda fh: fh.write(sidecar))
 
 
 def load_workload_packed(path: Union[str, Path], mmap: bool = True) -> Workload:
@@ -210,7 +179,7 @@ def load_workload_packed(path: Union[str, Path], mmap: bool = True) -> Workload:
     read-only through the page cache (zero-copy across processes) while
     ``mmap=False`` loads them into private memory."""
     path = Path(path)
-    with open(_sidecar_path(path)) as fh:
+    with open(path.with_suffix(".json")) as fh:
         meta = json.load(fh)
     if meta.get("version") != PACKED_FORMAT_VERSION:
         raise ValueError(

@@ -1,6 +1,7 @@
 """Content-addressed result cache: canonicalisation, keys, storage."""
 
 import json
+import os
 import pickle
 
 import pytest
@@ -97,8 +98,27 @@ def test_corrupt_entries_read_as_misses(tmp_path):
     unit = _unit(accesses_per_core=200)
     key = unit_key(unit, ENGINE_VERSION)
     cache.put(key, unit.execute())
-    with open(cache._path(key), "wb") as fh:
+    with open(cache.path(key), "wb") as fh:
         fh.write(b"not a pickle")
+    assert cache.get(key) is None
+
+
+def test_corrupt_pickle_that_raises_outside_unpickling_errors_is_a_miss(tmp_path):
+    # A flipped byte inside a pickled string makes ``pickle.load`` raise
+    # UnicodeDecodeError, not UnpicklingError; it must still read as a
+    # miss rather than escape into the Runner or the job manager.
+    cache = ResultCache(tmp_path / "cache")
+    unit = _unit(configurations=cfg.private(4), accesses_per_core=200)
+    key = unit_key(unit, ENGINE_VERSION)
+    cache.put(key, unit.execute())
+    path = os.path.join(cache.root, key[:2], f"{key}.pkl")
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[blob.index(b"private")] = 0xFF
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(UnicodeDecodeError):
+        pickle.loads(bytes(blob))
     assert cache.get(key) is None
 
 

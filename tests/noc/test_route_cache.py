@@ -18,11 +18,12 @@ from repro.faults.inject import FaultInjector
 from repro.faults.models import FaultPlan
 from repro.faults.routing import FaultAwareRouter
 from repro.noc.mesh import ContentionFreeMesh
-from repro.noc.route_cache import REFERENCE_ENV, RouteCache, shared_route_cache
+from repro.noc.route_cache import RouteCache, shared_route_cache
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import MeshTopology
 from repro.obs import MetricsSink
 from repro.sim import configs as cfg
+from repro.sim.engine_vec import REFERENCE_ENV
 from repro.sim.system import System
 
 from tests.noc._occupancy_oracle import SetNocstarOracle, SetSmartOracle
@@ -133,9 +134,9 @@ def test_dead_links_bypass_the_cache(n, data):
 
     mesh = ContentionFreeMesh(topo, faults=faults, routes=cache)
     assert mesh.send.__func__ is ContentionFreeMesh._send_path
-    assert mesh._route.__func__ is ContentionFreeMesh._fault_route
+    assert mesh._route == faults.router.path
     smart = SmartNetwork(topo, faults=faults, routes=cache)
-    assert smart._route.__func__ is SmartNetwork._fault_route
+    assert smart._route == faults.router.path
     nocstar = NocstarInterconnect(topo, faults=faults, routes=cache)
     assert nocstar.send.__func__ is NocstarInterconnect._send_faulty
 

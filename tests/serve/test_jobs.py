@@ -342,7 +342,7 @@ def test_cache_evict_older_than(tmp_path):
     cache.put("a" * 64, {"x": 1})
     cache.put("b" * 64, {"x": 2})
     old = time.time() - 1000.0
-    path = cache._path("a" * 64)
+    path = cache.path("a" * 64)
     os.utime(path, (old, old))
     assert cache.evict_older_than(500.0) == 1
     assert cache.get("a" * 64) is None

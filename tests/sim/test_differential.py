@@ -19,11 +19,15 @@ from hypothesis import strategies as st
 
 from repro.exec.cache import canonical_json
 from repro.exec.runner import Runner
-from repro.noc.route_cache import REFERENCE_ENV, RouteCache
+from repro.noc.route_cache import RouteCache
 from repro.noc.topology import MeshTopology
 from repro.obs import write_obs_jsonl
 from repro.sim import engine
-from repro.sim.engine_vec import VECTORIZED_ENV, VECTORIZED_MIN_CORES
+from repro.sim.engine_vec import (
+    REFERENCE_ENV,
+    VECTORIZED_ENV,
+    VECTORIZED_MIN_CORES,
+)
 
 from tests._corpus import (
     canonical_comparisons,

@@ -19,9 +19,9 @@ from collections import Counter
 import pytest
 
 from repro.exec.cache import canonical_json
-from repro.noc.route_cache import REFERENCE_ENV
 from repro.sim import configs as cfg
 from repro.sim.engine import ShootdownTraffic, StormConfig, simulate
+from repro.sim.engine_vec import REFERENCE_ENV
 from repro.sim.system import System
 from repro.tlb.set_assoc import SetAssociativeTLB
 from repro.vm.address import PAGE_2M, PAGE_4K

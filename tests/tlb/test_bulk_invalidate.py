@@ -6,7 +6,7 @@ that one applies each invalidation batch with per-key ``invalidate``
 and the other with one bulk ``invalidate_groups`` call.  After every
 step both must agree on per-set residents (in ``members()`` order),
 counters, eviction victims and ARC/2Q ghost history (so later ghost
-hits agree too), whether sets are lazy or eager.
+hits agree too), whether a set is untouched (``None``), emptied or live.
 """
 
 import pytest
@@ -68,14 +68,13 @@ def _state(array):
     return sets, counters
 
 
-@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
-def test_bulk_invalidate_matches_per_key(policy, lazy, ops):
+def test_bulk_invalidate_matches_per_key(policy, ops):
     # Two 4-way sets: few keys per set, and "fill" overflows one.
-    per_key = SetAssociativeTLB(8, 4, policy=policy, lazy_sets=lazy)
-    bulk = SetAssociativeTLB(8, 4, policy=policy, lazy_sets=lazy)
+    per_key = SetAssociativeTLB(8, 4, policy=policy)
+    bulk = SetAssociativeTLB(8, 4, policy=policy)
     for op, arg in ops:
         if op == "fill":
             keys = [(1, PAGE_4K, arg + 2 * j) for j in range(8)]
@@ -120,7 +119,7 @@ def test_bulk_invalidate_forgets_ghost_history(policy, emptied):
     ghost = keys[0]
     states = []
     for bulk in (False, True):
-        array = SetAssociativeTLB(16, 4, policy=policy, lazy_sets=True)
+        array = SetAssociativeTLB(16, 4, policy=policy)
         for key in keys[:4]:
             array.insert(*key)
         for key in keys[:4]:
@@ -146,7 +145,7 @@ def test_bulk_invalidate_forgets_ghost_history(policy, emptied):
 
 
 def test_bulk_invalidate_skips_stateless_sets_without_materialising():
-    array = SetAssociativeTLB(16, 4, lazy_sets=True)
+    array = SetAssociativeTLB(16, 4)
     array.insert(1, PAGE_4K, 0)
     keys = [(1, PAGE_4K, pn) for pn in range(8)]
     assert array.invalidate_groups(array.group_by_set(keys)) == 1

@@ -1,7 +1,10 @@
 """Workload trace persistence."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.exec.trace_store import TraceStore
 from repro.sim import configs as cfg
 from repro.sim.engine import simulate
 from repro.vm.address import PAGE_2M, PAGE_4K
@@ -11,12 +14,18 @@ from repro.workloads.io import (
     load_workload_packed,
     pack_workload,
     save_workload,
-    save_workload_packed,
     unpack_traces,
     workload_from_records,
 )
 from repro.workloads.registry import get_workload
 from repro.workloads.trace import Workload
+
+
+def _store_packed(workload, directory):
+    """Commit a packed artifact the way the trace store does."""
+    fingerprint = f"{workload.name}-{workload.seed}"
+    path, _ = TraceStore(str(directory)).ensure_prebuilt(fingerprint, workload)
+    return Path(path)
 
 
 @pytest.fixture()
@@ -88,7 +97,7 @@ def _assert_exact_record_types(loaded):
 @pytest.mark.parametrize("mmap", [True, False])
 def test_packed_round_trip_multi_stream(tmp_path, workload, mmap):
     assert workload.smt == 2  # multi-stream by construction
-    path = save_workload_packed(workload, tmp_path / "trace.npy")
+    path = _store_packed(workload, tmp_path)
     loaded = load_workload_packed(path, mmap=mmap)
     _assert_identical(loaded, workload)
     _assert_exact_record_types(loaded)
@@ -103,7 +112,7 @@ def test_packed_round_trip_single_record(tmp_path, mmap):
         superpages=True,
         info={"asids": 8},
     )
-    path = save_workload_packed(original, tmp_path / "one.npy")
+    path = _store_packed(original, tmp_path)
     loaded = load_workload_packed(path, mmap=mmap)
     _assert_identical(loaded, original)
     _assert_exact_record_types(loaded)
@@ -117,7 +126,7 @@ def test_packed_round_trip_empty(tmp_path, mmap):
         original = Workload(
             name=name, traces=traces, seed=0, superpages=False
         )
-        path = save_workload_packed(original, tmp_path / f"{name}.npy")
+        path = _store_packed(original, tmp_path)
         loaded = load_workload_packed(path, mmap=mmap)
         _assert_identical(loaded, original)
 
@@ -131,7 +140,7 @@ def test_pack_unpack_is_the_identity(workload):
 
 
 def test_packed_loaded_trace_simulates_identically(tmp_path, workload):
-    path = save_workload_packed(workload, tmp_path / "trace.npy")
+    path = _store_packed(workload, tmp_path)
     loaded = load_workload_packed(path)
     a = simulate(cfg.nocstar(4), workload)
     b = simulate(cfg.nocstar(4), loaded)
@@ -142,7 +151,7 @@ def test_packed_loaded_trace_simulates_identically(tmp_path, workload):
 def test_packed_version_check(tmp_path, workload):
     import json
 
-    path = save_workload_packed(workload, tmp_path / "trace.npy")
+    path = _store_packed(workload, tmp_path)
     sidecar = path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
     meta["version"] = 99
@@ -154,7 +163,7 @@ def test_packed_version_check(tmp_path, workload):
 def test_packed_shape_check(tmp_path, workload):
     import numpy as np
 
-    path = save_workload_packed(workload, tmp_path / "trace.npy")
+    path = _store_packed(workload, tmp_path)
     np.save(path, np.zeros((3, 5), dtype=np.int64))
     with pytest.raises(ValueError, match="shape"):
         load_workload_packed(path)
