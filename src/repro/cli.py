@@ -486,10 +486,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
         results = cache.stats()
         traces = store.stats()
         rows = [
-            ["results", results["entries"], results["bytes"], cache.root],
-            ["traces", traces["artifacts"], traces["bytes"], store.root],
+            ["results", results["entries"], results["bytes"],
+             results["tmp_files"], results["tmp_bytes"], cache.root],
+            ["traces", traces["artifacts"], traces["bytes"],
+             traces["tmp_files"], traces["tmp_bytes"], store.root],
         ]
-        print(render_table(["store", "entries", "bytes", "path"], rows))
+        print(render_table(
+            ["store", "entries", "bytes", "tmp files", "tmp bytes", "path"],
+            rows,
+        ))
         return 0
     if args.action == "clear":
         removed = cache.clear()

@@ -137,6 +137,7 @@ class ResultCache(ContentStore):
         The serving tier's TTL sweep: results are content-addressed, so
         an evicted entry costs at most one re-simulation — correctness
         never depends on retention.  ``now`` is injectable for tests.
+        Leftover ``.tmp-*`` files older than the same cutoff go too.
         Returns how many entries were removed; races with concurrent
         writers are benign (a vanished file is simply skipped).
         """
@@ -144,6 +145,7 @@ class ResultCache(ContentStore):
             raise ValueError(f"max_age_s must be >= 0 (got {max_age_s})")
         if now is None:
             now = time.time()
+        self._remove_temps(cutoff=now - max_age_s)
         removed = 0
         for mtime, key in self._oldest_first():
             if now - mtime <= max_age_s:

@@ -12,14 +12,18 @@ an uncommitted torn write and reads as a miss; removal drops the marker
 first, so a half-removed entry reads as a miss too.  Concurrent writers
 (pool workers, parallel suites) race harmlessly: entries are
 content-addressed, so the loser just overwrites identical bytes.
-Leftover ``.tmp-*`` files are never listed, sized or evicted.
+A ``.tmp-*`` file a killed writer left behind is never listed as an
+entry: :meth:`ContentStore.stats` counts and sizes such temps apart,
+:meth:`ContentStore.clear` removes them, and an age-based eviction
+removes those older than its cutoff (a live writer's temp is seconds
+old).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import BinaryIO, Callable, Dict, Iterator, List, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 def _unlink(path: str) -> bool:
@@ -99,13 +103,49 @@ class ContentStore:
                 pass
         return total
 
+    def _temps(self) -> List[str]:
+        """Paths of the ``.tmp-*`` files in every bucket."""
+        temps = []
+        for bucket in _listing(self.root):
+            directory = os.path.join(self.root, bucket)
+            temps.extend(
+                os.path.join(directory, entry)
+                for entry in _listing(directory)
+                if entry.startswith(".tmp-")
+            )
+        return temps
+
+    def _remove_temps(self, cutoff: Optional[float] = None) -> None:
+        """Unlink leftover temps; with ``cutoff``, only those whose mtime
+        is before it.  A temp that vanishes mid-walk (its writer
+        committed) is skipped."""
+        for path in self._temps():
+            if cutoff is not None:
+                try:
+                    if os.path.getmtime(path) >= cutoff:
+                        continue
+                except OSError:
+                    continue
+            _unlink(path)
+
     def stats(self) -> Dict[str, int]:
-        """``{COUNT_NAME: count, "bytes": total_size}``."""
+        """``{COUNT_NAME: count, "bytes": total_size, "tmp_files": n,
+        "tmp_bytes": size}`` — committed entries, then leftover temps."""
         count = size = 0
         for key in self.keys():
             count += 1
             size += self._entry_bytes(key)
-        return {self.COUNT_NAME: count, "bytes": size}
+        temps = temp_bytes = 0
+        for path in self._temps():
+            try:
+                temp_bytes += os.path.getsize(path)
+                temps += 1
+            except OSError:
+                pass
+        return {
+            self.COUNT_NAME: count, "bytes": size,
+            "tmp_files": temps, "tmp_bytes": temp_bytes,
+        }
 
     def _remove(self, key: str) -> bool:
         """Unlink an entry, marker first; True when the marker was there.
@@ -117,8 +157,11 @@ class ContentStore:
         return removed[0]
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        return sum(self._remove(key) for key in list(self.keys()))
+        """Delete every entry and leftover temp; returns how many
+        entries were removed."""
+        removed = sum(self._remove(key) for key in list(self.keys()))
+        self._remove_temps()
+        return removed
 
     def _oldest_first(self) -> List[Tuple[float, str]]:
         """``(mtime, key)`` of every committed entry, oldest first.

@@ -119,60 +119,73 @@ class CacheHierarchy:
         self.llc = Cache("llc", llc_bytes_per_core * num_cores, 16, llc_decay_cycles)
         self.dram_accesses = 0
 
-    @staticmethod
-    def _probe(cache: Cache, line: int, now: int):
-        """Inlined Cache.lookup on a precomputed line address.
-
-        Returns the cache set on a miss (for the fill below — a missed
-        line is guaranteed absent, decayed entries having been deleted)
-        or ``None`` on a hit.  Counter/decay/LRU semantics match
-        ``Cache.lookup`` byte for byte.
-        """
-        sets = cache._sets
-        index = line % cache.num_sets
-        cache_set = sets.get(index)
-        if cache_set is None:
-            cache_set = sets[index] = OrderedDict()
-        stamp = cache_set.get(line)
-        if stamp is not None:
-            decay = cache.decay_cycles
-            if decay is not None and now - stamp > decay:
-                del cache_set[line]  # decayed: evicted by demand traffic
-            else:
-                cache_set.move_to_end(line)
-                cache_set[line] = now
-                cache.hits += 1
-                return None
-        cache.misses += 1
-        return cache_set
-
     def access(self, core: int, addr: int, now: int) -> tuple:
-        # Chained Cache.lookup/Cache.fill calls, inlined via _probe:
-        # walk traffic makes this the hottest simulator loop after the
-        # L2-TLB transaction, and the open-coded form computes the line
-        # address once and skips fill()'s membership test (a missed
-        # line is absent by _probe's contract, so a fill is a plain
-        # append with LRU eviction on a full set).
+        # Cache.lookup then Cache.fill per level, open-coded: walk
+        # traffic makes this the hottest simulator loop after the L2-TLB
+        # transaction.  The line address is computed once, and a fill
+        # skips fill()'s membership test: a missed line is absent (a
+        # decayed one was just deleted), so a fill is a plain append
+        # with LRU eviction on a full set.  Counter/decay/LRU semantics
+        # match the two methods byte for byte.
         line = addr // LINE_BYTES
         lat = self.latencies
-        probe = self._probe
         l1 = self.l1[core]
-        set1 = probe(l1, line, now)
+        sets = l1._sets
+        index = line % l1.num_sets
+        set1 = sets.get(index)
         if set1 is None:
-            return "l1", lat.l1
+            set1 = sets[index] = OrderedDict()
+        stamp = set1.get(line)
+        if stamp is not None:
+            decay = l1.decay_cycles
+            if decay is not None and now - stamp > decay:
+                del set1[line]  # decayed: evicted by demand traffic
+            else:
+                set1.move_to_end(line)
+                set1[line] = now
+                l1.hits += 1
+                return "l1", lat.l1
+        l1.misses += 1
         l2 = self.l2[core]
-        set2 = probe(l2, line, now)
+        sets = l2._sets
+        index = line % l2.num_sets
+        set2 = sets.get(index)
         if set2 is None:
-            if len(set1) >= l1.ways:
-                set1.popitem(last=False)
-            set1[line] = now
-            return "l2", lat.l2
+            set2 = sets[index] = OrderedDict()
+        stamp = set2.get(line)
+        if stamp is not None:
+            decay = l2.decay_cycles
+            if decay is not None and now - stamp > decay:
+                del set2[line]
+            else:
+                set2.move_to_end(line)
+                set2[line] = now
+                l2.hits += 1
+                if len(set1) >= l1.ways:
+                    set1.popitem(last=False)
+                set1[line] = now
+                return "l2", lat.l2
+        l2.misses += 1
         llc = self.llc
-        set3 = probe(llc, line, now)
+        sets = llc._sets
+        index = line % llc.num_sets
+        set3 = sets.get(index)
         if set3 is None:
-            level = "llc"
-            cycles = lat.llc
-        else:
+            set3 = sets[index] = OrderedDict()
+        stamp = set3.get(line)
+        level = None
+        if stamp is not None:
+            decay = llc.decay_cycles
+            if decay is not None and now - stamp > decay:
+                del set3[line]
+            else:
+                set3.move_to_end(line)
+                set3[line] = now
+                llc.hits += 1
+                level = "llc"
+                cycles = lat.llc
+        if level is None:
+            llc.misses += 1
             self.dram_accesses += 1
             if len(set3) >= llc.ways:
                 set3.popitem(last=False)

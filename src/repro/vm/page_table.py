@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.vm.address import (
-    PAGE_1G,
-    PAGE_2M,
-    PAGE_4K,
-    PAGE_SHIFT_4K,
-    translation_vpn,
-)
+from repro.vm.address import PAGE_1G, PAGE_2M, PAGE_4K, PAGE_SHIFT_4K
 
 FRAME_BYTES = 4096
 ENTRY_BYTES = 8
@@ -31,7 +25,18 @@ FANOUT = 512
 #: Radix levels from root to leaf; a 2MB page terminates at the PD
 #: (3 node accesses) and a 1GB page at the PDPT (2 node accesses).
 LEVELS = ("pml4", "pdpt", "pd", "pt")
-_LEAF_DEPTH = {PAGE_4K: 4, PAGE_2M: 3, PAGE_1G: 2}
+
+#: page size -> (leaf depth, shift from a 4KB VPN to the page number,
+#: mask of the radix-index bits above the leaf node).  A translation's
+#: page number ``pn`` splits into its chain prefix ``(pn >> 9) & mask``
+#: and its index ``pn & 511`` in the leaf node.  The mask keeps the 36
+#: bits a four-level walk indexes, so VPNs past them share nodes with
+#: their aliases (as the radix indices do) but map their own pages.
+_GEOMETRY = {
+    PAGE_4K: (4, 0, (1 << 27) - 1),
+    PAGE_2M: (3, 9, (1 << 18) - 1),
+    PAGE_1G: (2, 18, (1 << 9) - 1),
+}
 
 
 @dataclass(frozen=True)
@@ -43,18 +48,24 @@ class PTE:
     asid: int
 
 
+#: A node chain: the entry addresses above the node (root first), the
+#: node's frame, and ``page number -> ppn`` of the pages mapped in it.
+Chain = Tuple[Tuple[int, ...], int, Dict[int, int]]
+
+
 class PageTable:
-    """Radix page tables for all address spaces, plus frame allocation."""
+    """Radix page tables for all address spaces, plus frame allocation.
+
+    Every table node is one entry of the chain index ``_chains``, keyed
+    by ``(asid, depth, prefix)``: the node at radix level ``depth - 1``
+    reached through the indices ``prefix`` (9 bits per level above it).
+    A walk reads one chain — the upper-level entry addresses are stored
+    in it, and the leaf entry is the node frame plus one index — so only
+    a missing chain walks the levels, allocating nodes root to leaf.
+    """
 
     def __init__(self) -> None:
-        # (asid, level_depth, node_index_path) -> physical frame base.
-        self._nodes: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        self._ptes: Dict[Tuple[int, int, int], PTE] = {}
-        # (asid, page_size, page_number) -> (walk addresses, PTE); see
-        # walk_info.  Invalidated by unmap.
-        self._walk_info: Dict[
-            Tuple[int, int, int], Tuple[Tuple[int, ...], PTE]
-        ] = {}
+        self._chains: Dict[Tuple[int, int, int], Chain] = {}
         self._next_frame = 1  # frame 0 reserved
         self.nodes_allocated = 0
         self.pages_mapped = 0
@@ -64,88 +75,82 @@ class PageTable:
         self._next_frame += 1
         return frame
 
-    def _node_frame(self, asid: int, depth: int, path: Tuple[int, ...]) -> int:
-        key = (asid, depth, path)
-        frame = self._nodes.get(key)
-        if frame is None:
-            frame = self._nodes[key] = self._allocate_frame()
+    def _chain(self, asid: int, depth: int, prefix: int) -> Chain:
+        """The chain of node ``(asid, depth, prefix)``, built root to
+        leaf from its first missing node."""
+        key = (asid, depth, prefix)
+        chain = self._chains.get(key)
+        if chain is None:
+            if depth == 1:
+                upper: Tuple[int, ...] = ()
+            else:
+                above, frame, _ = self._chain(asid, depth - 1, prefix >> 9)
+                upper = above + (frame + (prefix & 511) * ENTRY_BYTES,)
+            chain = self._chains[key] = (upper, self._allocate_frame(), {})
             self.nodes_allocated += 1
-        return frame
+        return chain
 
     @staticmethod
-    def _indices(vpn: int) -> Tuple[int, int, int, int]:
-        """Radix indices (PML4, PDPT, PD, PT) for a 4KB VPN."""
-        return (
-            (vpn >> 27) & (FANOUT - 1),
-            (vpn >> 18) & (FANOUT - 1),
-            (vpn >> 9) & (FANOUT - 1),
-            vpn & (FANOUT - 1),
-        )
+    def _locate(vpn: int, page_size: int) -> Tuple[int, int, int]:
+        """``(depth, prefix, page number)`` of a translation."""
+        try:
+            depth, shift, mask = _GEOMETRY[page_size]
+        except KeyError:
+            raise ValueError(f"unsupported page size: {page_size}") from None
+        page_number = vpn >> shift
+        return depth, (page_number >> 9) & mask, page_number
 
-    def map_page(self, asid: int, vpn: int, page_size: int) -> PTE:
-        """Ensure the translation covering 4KB VPN ``vpn`` exists."""
-        page_number = translation_vpn(vpn, page_size)
-        key = (asid, page_size, page_number)
-        pte = self._ptes.get(key)
-        if pte is None:
-            ppn = self._allocate_frame() >> PAGE_SHIFT_4K
-            pte = self._ptes[key] = PTE(ppn=ppn, page_size=page_size, asid=asid)
+    def walk(self, asid: int, vpn: int, page_size: int) -> Tuple[Tuple[int, ...], int]:
+        """The entries a walk of 4KB VPN ``vpn`` touches, mapping the
+        page on first touch: ``(upper-level entry addresses, leaf entry
+        address)``.
+
+        A first touch allocates the missing nodes root to leaf, then the
+        data frame — the walker's historical order, so every synthetic
+        physical address is unchanged.
+        """
+        depth, prefix, page_number = self._locate(vpn, page_size)
+        chain = self._chains.get((asid, depth, prefix))
+        if chain is None:
+            chain = self._chain(asid, depth, prefix)
+        upper, frame, ppns = chain
+        if page_number not in ppns:
+            ppns[page_number] = self._allocate_frame() >> PAGE_SHIFT_4K
             self.pages_mapped += 1
-            # Materialise the node chain so walk addresses are stable.
-            self.walk_addresses(asid, vpn, page_size)
-        return pte
-
-    def lookup(self, asid: int, vpn: int, page_size: int) -> PTE:
-        """Return the PTE covering ``vpn`` (mapping it on first touch)."""
-        return self.map_page(asid, vpn, page_size)
+        return upper, frame + (page_number & 511) * ENTRY_BYTES
 
     def walk_addresses(self, asid: int, vpn: int, page_size: int) -> List[int]:
         """Physical addresses of the page-table entries a walk touches.
 
         One address per radix level down to the leaf: 4 for 4KB
-        mappings, 3 for 2MB, 2 for 1GB.
+        mappings, 3 for 2MB, 2 for 1GB.  Materialises the node chain
+        but maps no page.
         """
-        depth = _LEAF_DEPTH[page_size]
-        indices = self._indices(vpn)
-        addresses = []
-        for level in range(depth):
-            path = indices[:level]  # path identifies the node
-            frame = self._node_frame(asid, level, path)
-            addresses.append(frame + indices[level] * ENTRY_BYTES)
-        return addresses
+        depth, prefix, page_number = self._locate(vpn, page_size)
+        upper, frame, _ = self._chain(asid, depth, prefix)
+        return [*upper, frame + (page_number & 511) * ENTRY_BYTES]
 
-    def walk_info(self, asid: int, vpn: int, page_size: int) -> Tuple[Tuple[int, ...], PTE]:
-        """Walk addresses plus the PTE, memoised per translation.
+    def map_page(self, asid: int, vpn: int, page_size: int) -> PTE:
+        """Ensure the translation covering 4KB VPN ``vpn`` exists.
 
-        Both are pure functions of ``(asid, page_size, page_number)``
-        once the mapping exists: the node chain is stable after
-        materialisation, and only the radix indices above the leaf
-        depth — all determined by the page number — feed the address
-        computation.  The first touch performs exactly the walker's
-        historical call sequence (``walk_addresses`` then ``map_page``),
-        so frame-allocation order — and with it every synthetic
-        physical address — is unchanged.
+        A new mapping allocates its data frame before any missing node.
         """
-        key = (asid, page_size, translation_vpn(vpn, page_size))
-        info = self._walk_info.get(key)
-        if info is None:
-            addresses = tuple(self.walk_addresses(asid, vpn, page_size))
-            pte = self._ptes.get(key)
-            if pte is None:
-                # map_page's body minus its node materialisation — the
-                # walk_addresses call above already allocated the node
-                # chain, so allocation order (nodes, then data frame)
-                # matches the historical call sequence exactly.
-                ppn = self._allocate_frame() >> PAGE_SHIFT_4K
-                pte = self._ptes[key] = PTE(
-                    ppn=ppn, page_size=page_size, asid=asid
-                )
-                self.pages_mapped += 1
-            info = self._walk_info[key] = (addresses, pte)
-        return info
+        depth, prefix, page_number = self._locate(vpn, page_size)
+        chain = self._chains.get((asid, depth, prefix))
+        if chain is None or page_number not in chain[2]:
+            ppn = self._allocate_frame() >> PAGE_SHIFT_4K
+            self.pages_mapped += 1
+            chain = self._chain(asid, depth, prefix)
+            chain[2][page_number] = ppn
+        return PTE(ppn=chain[2][page_number], page_size=page_size, asid=asid)
+
+    def lookup(self, asid: int, vpn: int, page_size: int) -> PTE:
+        """Return the PTE covering ``vpn`` (mapping it on first touch)."""
+        return self.map_page(asid, vpn, page_size)
 
     def unmap(self, asid: int, vpn: int, page_size: int) -> None:
-        """Drop a translation (page remapping / demotion)."""
-        key = (asid, page_size, translation_vpn(vpn, page_size))
-        self._ptes.pop(key, None)
-        self._walk_info.pop(key, None)
+        """Drop a translation (page remapping / demotion); its nodes stay."""
+        depth, prefix, page_number = self._locate(vpn, page_size)
+        chain = self._chains.get((asid, depth, prefix))
+        if chain is not None:
+            chain[2].pop(page_number, None)

@@ -24,29 +24,16 @@ from repro.vm.page_table import PageTable
 
 
 class _PageWalkCache:
-    """Per-core cache of upper-level page-table entries (1-cycle hit)."""
+    """Per-core LRU cache of upper-level page-table entries (1-cycle hit).
+
+    :meth:`PageTableWalker.walk` probes and fills ``_cache`` in line.
+    """
 
     def __init__(self, entries: int = 32) -> None:
         self.entries = entries
         self._cache: "OrderedDict[int, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, addr: int) -> bool:
-        if addr in self._cache:
-            self._cache.move_to_end(addr)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def fill(self, addr: int) -> None:
-        if addr not in self._cache and len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[addr] = None
-
-    def invalidate_all(self) -> None:
-        self._cache.clear()
 
 
 class PageTableWalker:
@@ -82,26 +69,40 @@ class PageTableWalker:
         lines there) are left in :attr:`last_pollution` — a proxy for
         how much the walk polluted that core's cache.
         """
-        addresses, _ = self.page_table.walk_info(asid, vpn, page_size)
+        upper, leaf = self.page_table.walk(asid, vpn, page_size)
         pwc = self.pwcs[core]
+        cache = pwc._cache
         level_hits = self.level_hits
         access = self.hierarchy.access
+        hit_cycles = self.PWC_HIT_CYCLES
         latency = 0
         pollution = 0
-        last = len(addresses) - 1
-        for depth, addr in enumerate(addresses):
-            # Upper levels can hit the PWC; the leaf PTE never does.
-            if depth < last and pwc.lookup(addr):
-                latency += self.PWC_HIT_CYCLES
-                level_hits["pwc"] += 1
+        pwc_hits = 0
+        # Upper levels can hit the PWC (an LRU of entry addresses); a
+        # miss goes to the caches, then fills the PWC.
+        for addr in upper:
+            if addr in cache:
+                cache.move_to_end(addr)
+                pwc_hits += 1
+                latency += hit_cycles
                 continue
             level, cycles = access(core, addr, now + latency)
             latency += cycles
             level_hits[level] += 1
             if level != "l1":
                 pollution += 1
-            if depth < last:
-                pwc.fill(addr)
+            if len(cache) >= pwc.entries:
+                cache.popitem(last=False)
+            cache[addr] = None
+        pwc.hits += pwc_hits
+        level_hits["pwc"] += pwc_hits
+        pwc.misses += len(upper) - pwc_hits
+        # The leaf PTE never hits the PWC.
+        level, cycles = access(core, leaf, now + latency)
+        latency += cycles
+        level_hits[level] += 1
+        if level != "l1":
+            pollution += 1
         self.walks += 1
         self.last_pollution = pollution
         if self.sink.enabled:

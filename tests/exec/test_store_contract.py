@@ -66,6 +66,13 @@ def _committed_bytes(root: str) -> int:
     return total
 
 
+def _stats(count_name, count, size, temps=0, temp_bytes=0):
+    return {
+        count_name: count, "bytes": size,
+        "tmp_files": temps, "tmp_bytes": temp_bytes,
+    }
+
+
 def _files(root: str, key: str, suffixes):
     return [os.path.join(root, key[:2], key + suffix) for suffix in suffixes]
 
@@ -83,7 +90,7 @@ def test_empty_store_reads_empty(kind, tmp_path):
     assert list(store.keys()) == []
     assert len(store) == 0
     assert "ab" * 32 not in store
-    assert store.stats() == {count_name: 0, "bytes": 0}
+    assert store.stats() == _stats(count_name, 0, 0)
     assert store.clear() == 0
 
 
@@ -96,10 +103,9 @@ def test_keys_len_contains_and_stats(kind, tmp_path):
     assert "0" * 64 not in store
     for key in keys:
         assert all(os.path.exists(p) for p in _files(store.root, key, suffixes))
-    assert store.stats() == {
-        count_name: len(keys),
-        "bytes": _committed_bytes(store.root),
-    }
+    assert store.stats() == _stats(
+        count_name, len(keys), _committed_bytes(store.root)
+    )
 
 
 def test_clear_counts_and_removes_every_entry(kind, tmp_path):
@@ -107,7 +113,7 @@ def test_clear_counts_and_removes_every_entry(kind, tmp_path):
     keys = [put(tag) for tag in ("one", "two", "three")]
     assert store.clear() == 3
     assert len(store) == 0
-    assert store.stats() == {count_name: 0, "bytes": 0}
+    assert store.stats() == _stats(count_name, 0, 0)
     for key in keys:
         assert key not in store
         assert _gone(store.root, key, suffixes)
@@ -127,9 +133,41 @@ def test_leftover_tmp_files_and_strays_are_ignored(kind, tmp_path):
     assert list(store.keys()) == [key]
     assert len(store) == 1
     committed = _size(store.root, key, suffixes)
-    assert store.stats() == {count_name: 1, "bytes": committed}
+    temps = (len(suffixes), 100 * len(suffixes))
+    assert store.stats() == _stats(count_name, 1, committed, *temps)
     assert store.clear() == 1
-    assert store.stats() == {count_name: 0, "bytes": 0}
+    assert store.stats() == _stats(count_name, 0, 0)
+
+
+def _write_temps(store, key, suffixes, mtime):
+    """Leftovers of a writer killed inside the commit, dated ``mtime``."""
+    bucket = os.path.join(store.root, key[:2])
+    paths = []
+    for suffix in suffixes:
+        path = os.path.join(bucket, f".tmp-{int(mtime)}{suffix}")
+        with open(path, "wb") as fh:
+            fh.write(b"x" * 64)
+        os.utime(path, (mtime, mtime))
+        paths.append(path)
+    return paths
+
+
+def test_leftover_tmp_files_are_sized_and_cleared(kind, tmp_path):
+    store, put, count_name, suffixes = _make(kind, tmp_path)
+    key = put("kept")
+    temps = _write_temps(store, key, suffixes, 1e9)
+    committed = _size(store.root, key, suffixes)
+    assert store.stats() == _stats(
+        count_name, 1, committed, len(temps), 64 * len(temps)
+    )
+    assert store.clear() == 1
+    assert not any(os.path.exists(path) for path in temps)
+    assert store.stats() == _stats(count_name, 0, 0)
+    # A store holding nothing but temps clears them too.
+    temps = _write_temps(store, key, suffixes, 1e9)
+    assert store.stats()["tmp_files"] == len(temps)
+    assert store.clear() == 0
+    assert store.stats() == _stats(count_name, 0, 0)
 
 
 def test_trace_artifact_without_sidecar_reads_as_miss(tmp_path):
@@ -142,9 +180,9 @@ def test_trace_artifact_without_sidecar_reads_as_miss(tmp_path):
     assert torn not in store
     assert list(store.keys()) == [whole]
     assert len(store) == 1
-    assert store.stats() == {
-        "artifacts": 1, "bytes": _size(store.root, whole, TRACE_FILES),
-    }
+    assert store.stats() == _stats(
+        "artifacts", 1, _size(store.root, whole, TRACE_FILES)
+    )
     # Re-materialising commits the entry again.
     assert _put_artifact(store, "torn") == torn
     assert torn in store
@@ -164,7 +202,7 @@ def test_trace_evict_drops_oldest_first_counting_sidecars(tmp_path):
     assert store.evict(max_bytes=newest_two - 1) == 1
     assert list(store.keys()) == [keys[2]]
     assert store.evict(max_bytes=0) == 1
-    assert store.stats() == {"artifacts": 0, "bytes": 0}
+    assert store.stats() == _stats("artifacts", 0, 0)
 
 
 def test_result_evict_older_than_uses_the_injected_clock(tmp_path):
@@ -180,3 +218,16 @@ def test_result_evict_older_than_uses_the_injected_clock(tmp_path):
     with pytest.raises(ValueError):
         cache.evict_older_than(-1.0, now=3100.0)
     assert list(cache.keys()) == [keys[2]]
+
+
+def test_result_evict_older_than_reclaims_old_temps(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    key = _put_result(cache, "kept")
+    os.utime(_files(cache.root, key, (".pkl",))[0], (3000.0, 3000.0))
+    old = _write_temps(cache, key, (".pkl",), 1000.0)
+    young = _write_temps(cache, key, (".pkl",), 2900.0)
+    assert cache.evict_older_than(1500.0, now=3100.0) == 0
+    assert not any(os.path.exists(path) for path in old)
+    assert all(os.path.exists(path) for path in young)
+    committed = _size(cache.root, key, (".pkl",))
+    assert cache.stats() == _stats("entries", 1, committed, 1, 64)

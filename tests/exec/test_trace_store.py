@@ -106,14 +106,18 @@ def test_missing_sidecar_reads_as_miss_and_rebuilds(tmp_path):
 
 def test_stats_and_clear(tmp_path):
     store = TraceStore(str(tmp_path))
-    assert store.stats() == {"artifacts": 0, "bytes": 0}
+    assert store.stats() == {
+        "artifacts": 0, "bytes": 0, "tmp_files": 0, "tmp_bytes": 0,
+    }
     store.ensure(_signature())
     store.ensure(_signature(seed=9))
     stats = store.stats()
     assert stats["artifacts"] == len(store) == 2
     assert stats["bytes"] > 0
     assert store.clear() == 2
-    assert store.stats() == {"artifacts": 0, "bytes": 0}
+    assert store.stats() == {
+        "artifacts": 0, "bytes": 0, "tmp_files": 0, "tmp_bytes": 0,
+    }
 
 
 def test_evict_drops_oldest_first(tmp_path):
